@@ -234,7 +234,6 @@ int main() {
   C.QueueCapacity = 512;
   double IngestSeconds = 0;
   double P50 = 0, P99 = 0;
-  uint64_t Compactions = 0;
   {
     collectd::IngestService Service(C);
 
@@ -267,7 +266,6 @@ int main() {
     IngestSeconds = seconds(T0, T1);
 
     collectd::IngestStats Stats = Service.stats();
-    Compactions = Stats.Compactions;
     if (Stats.Accepted != TotalUploads) {
       std::fprintf(stderr,
                    "collectd_ingest: expected %llu accepted, got %llu\n",
@@ -444,7 +442,6 @@ int main() {
                 "  \"queries\": %u,\n"
                 "  \"query_p50_seconds\": %.6f,\n"
                 "  \"query_p99_seconds\": %.6f,\n"
-                "  \"compactions\": %llu,\n"
                 "  \"bit_identical\": true,\n"
                 "  \"wire_sender_processes\": %u,\n"
                 "  \"wire_seconds\": %.6f,\n"
@@ -460,8 +457,7 @@ int main() {
                 static_cast<unsigned long long>(NumClients),
                 static_cast<unsigned long long>(TotalUploads), UploadBytes,
                 static_cast<unsigned long long>(NumWindows), C.Threads,
-                Cores, IngestSeconds, PerSec, NumQueries, P50, P99,
-                static_cast<unsigned long long>(Compactions), NumSenders,
+                Cores, IngestSeconds, PerSec, NumQueries, P50, P99, NumSenders,
                 WireSeconds, WirePerSec, NumWireQueries, WireP50, WireP99,
                 static_cast<unsigned long long>(NetStats.ConnectionsAccepted),
                 static_cast<unsigned long long>(NetStats.FramesIn),

@@ -32,9 +32,9 @@
 /// use.
 ///
 /// Every fold is deterministic: the window's merged bytes are identical
-/// for any arrival order, thread count, or compaction grouping (see
-/// MergeTree.h), so a rejected upload provably leaves the window
-/// byte-identical to a run that never saw it.
+/// for any arrival order or thread count (see MergeTree.h), so a rejected
+/// upload provably leaves the window byte-identical to a run that never
+/// saw it. Each schema group keeps one resident artifact, its fold.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -105,10 +105,6 @@ struct IngestConfig {
   size_t QueueCapacity = 1024;
   /// Accepted uploads allowed per (tenant, window); 0 = unlimited.
   uint64_t TenantWindowQuota = 0;
-  /// MergeTree level fanout.
-  unsigned Fanout = 8;
-  /// Threads per mergeAll reduction wave.
-  unsigned MergeThreads = 1;
   /// The acquisition this collector accepts ("exact" or "overflow").
   std::string Acquisition = "exact";
   /// Root for persist(): window folds land in StoreDir/w<window>/.
@@ -133,9 +129,9 @@ struct IngestConfig {
 };
 
 /// Aggregate service counters. The totals (Submitted, Accepted,
-/// Rejected, RejectedBy, Compactions) depend only on the set of
-/// submitted uploads, never on worker interleaving — with one carve-out:
-/// when TenantWindowQuota is set and uploads race over a shared quota,
+/// Rejected, RejectedBy) depend only on the set of submitted uploads,
+/// never on worker interleaving — with one carve-out: when
+/// TenantWindowQuota is set and uploads race over a shared quota,
 /// *which* uploads win the remaining slots (and therefore the windows'
 /// folded contents) follows admission order; only the counts are stable.
 struct IngestStats {
@@ -145,6 +141,8 @@ struct IngestStats {
   uint64_t RejectedBy[static_cast<size_t>(RejectReason::NumReasons)] = {};
   /// trySubmit() refusals — backpressure, not upload verdicts.
   uint64_t Backpressured = 0;
+  /// Always 0: groups fold in place and never compact. Kept for callers
+  /// that still read it (perfbench reports it).
   uint64_t Compactions = 0;
   uint64_t Queries = 0;
   size_t Windows = 0;
@@ -213,8 +211,6 @@ private:
   struct Group {
     std::string Label; ///< workload name, for query headers
     MergeTree Tree;
-    Group(const std::string &Label, unsigned Fanout, unsigned MergeThreads)
-        : Label(Label), Tree(Fanout, MergeThreads) {}
   };
   using Window = std::map<std::string, Group>;
 

@@ -80,7 +80,8 @@ enum class Counter : unsigned {
   AcqSamplesRecorded,    ///< stack samples recorded by overflow sampling
   CollectdAccepted,      ///< fleet uploads folded into a window tree
   CollectdRejected,      ///< fleet uploads rejected with a typed reason
-  CollectdCompactions,   ///< merge-tree level compactions performed
+  CollectdCompactions,   ///< always 0: window folds never compact (the row
+                         ///< stays so obs reports keep their shape)
   CollectdQueries,       ///< window queries served
   CollectdRateLimited,   ///< uploads refused by the per-tenant token bucket
   CollectdWindowsExpired, ///< windows persisted + dropped by retention

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 using namespace pp;
 
@@ -47,6 +48,57 @@ TEST(Checksum, Crc32KnownVectors) {
       Flipped[Byte] ^= uint8_t(1) << Bit;
       EXPECT_NE(crc32(Flipped, sizeof(Flipped)), 0xCBF43926u);
     }
+}
+
+namespace {
+
+/// Bit-serial CRC32 over one byte at a time: the definition crc32's
+/// sliced tables must reproduce.
+uint32_t referenceCrc32(const uint8_t *Data, size_t Size, uint32_t Seed) {
+  uint32_t Crc = ~Seed;
+  for (size_t Index = 0; Index != Size; ++Index) {
+    Crc ^= Data[Index];
+    for (unsigned Bit = 0; Bit != 8; ++Bit)
+      Crc = (Crc >> 1) ^ ((Crc & 1) ? 0xedb88320u : 0);
+  }
+  return ~Crc;
+}
+
+} // namespace
+
+TEST(Checksum, Crc32MatchesBytewiseReference) {
+  std::vector<size_t> Lengths;
+  for (size_t Length = 0; Length <= 64; ++Length)
+    Lengths.push_back(Length);
+  for (size_t Length : {1000, 4096, 4101, 8191})
+    Lengths.push_back(Length);
+
+  for (uint64_t DataSeed : {1, 7, 1997}) {
+    Prng Rng(DataSeed);
+    // Room for the longest length at every start offset 0..7.
+    std::vector<uint8_t> Buffer(Lengths.back() + 8);
+    for (uint8_t &Byte : Buffer)
+      Byte = static_cast<uint8_t>(Rng.next());
+    for (uint32_t Seed : {0u, 0xffffffffu, static_cast<uint32_t>(Rng.next())})
+      for (size_t Offset = 0; Offset != 8; ++Offset)
+        for (size_t Length : Lengths)
+          ASSERT_EQ(crc32(Buffer.data() + Offset, Length, Seed),
+                    referenceCrc32(Buffer.data() + Offset, Length, Seed))
+              << "data seed " << DataSeed << ", crc seed " << Seed
+              << ", offset " << Offset << ", length " << Length;
+
+    // Seeded continuation agrees with one shot at every split point.
+    for (size_t Offset = 0; Offset != 8; ++Offset) {
+      const uint8_t *Data = Buffer.data() + Offset;
+      constexpr size_t Length = 100;
+      uint32_t Whole = referenceCrc32(Data, Length, 0);
+      for (size_t Split = 0; Split <= Length; ++Split)
+        ASSERT_EQ(crc32(Data + Split, Length - Split, crc32(Data, Split)),
+                  Whole)
+            << "data seed " << DataSeed << ", offset " << Offset
+            << ", split " << Split;
+    }
+  }
 }
 
 TEST(Format, FormatString) {
