@@ -25,14 +25,34 @@ CallingContextTree::CallingContextTree(std::vector<ProcDesc> Procs,
   // the "multiple roots" the paper notes a signal-handling extension
   // needs (§4.2). The root accumulates no metrics.
   Root = makeRecord(RootProcId, nullptr);
-  Root->Slots[SignalSlot].K = CallRecord::Slot::Kind::List;
+}
+
+CallingContextTree::RecordFootprint
+CallingContextTree::footprint(const std::vector<ProcDesc> &Procs, ProcId Proc,
+                              unsigned NumMetrics, unsigned PathCellBytes,
+                              uint64_t HashThreshold) {
+  RecordFootprint F;
+  F.RecordBytes =
+      8 + 8 + 8 * uint64_t(NumMetrics) + 8 * uint64_t(numSlots(Procs, Proc));
+  // Per-record path counter table (combined flow + context profiling):
+  // an array when small, a fixed hash table otherwise.
+  uint64_t NumPaths = Proc == RootProcId ? 0 : Procs[Proc].NumPaths;
+  if (NumPaths != 0) {
+    F.HasPathTable = true;
+    uint64_t Cells = std::min<uint64_t>(NumPaths, HashThreshold);
+    uint64_t CellStride = PathCellBytes + (NumPaths > HashThreshold ? 8 : 0);
+    F.PathTableBytes = CellStride && Cells > UINT64_MAX / CellStride
+                           ? UINT64_MAX
+                           : Cells * CellStride;
+  }
+  return F;
 }
 
 uint64_t CallingContextTree::heapAlloc(uint64_t Size) {
-  uint64_t Addr = (HeapNext + 7) & ~uint64_t(7);
-  HeapNext = Addr + Size;
-  if (HeapNext >= layout::ProfStackBase)
+  uint64_t Addr = (HeapNext + HeapAlign - 1) & ~(HeapAlign - 1);
+  if (Addr >= layout::ProfStackBase || Size >= layout::ProfStackBase - Addr)
     reportFatalError("CCT heap exhausted");
+  HeapNext = Addr + Size;
   return Addr;
 }
 
@@ -46,24 +66,16 @@ CallRecord *CallingContextTree::makeRecord(ProcId Proc, CallRecord *Parent) {
   R->Depth = Parent ? Parent->Depth + 1 : 0;
   R->Metrics.assign(NumMetrics, 0);
 
-  unsigned NumSites;
-  uint64_t NumPaths = 0;
-  if (Proc == RootProcId) {
-    NumSites = 2; // program entry + signal handlers
-  } else {
-    assert(Proc < Procs.size() && "unknown procedure");
-    NumSites = Procs[Proc].NumSites;
-    NumPaths = Procs[Proc].NumPaths;
-  }
+  assert((Proc == RootProcId || Proc < Procs.size()) && "unknown procedure");
+  unsigned NumSites = numSlots(Procs, Proc);
   R->Slots.resize(NumSites);
-  for (unsigned Index = 0; Index != NumSites; ++Index) {
-    if (Proc != RootProcId && Index < Procs[Proc].SiteIsIndirect.size() &&
-        Procs[Proc].SiteIsIndirect[Index])
+  for (unsigned Index = 0; Index != NumSites; ++Index)
+    if (isListSlot(Procs, Proc, Index))
       R->Slots[Index].K = CallRecord::Slot::Kind::List;
-  }
 
-  uint64_t Bytes = 8 + 8 + 8 * uint64_t(NumMetrics) + 8 * NumSites;
-  R->Addr = heapAlloc(Bytes);
+  RecordFootprint F =
+      footprint(Procs, Proc, NumMetrics, PathCellBytes, HashThreshold);
+  R->Addr = heapAlloc(F.RecordBytes);
 
   // Charge the initialising stores: ID, parent, zeroed metrics, and the
   // tagged-offset slot initialisation (§4.2 "creates and initializes its
@@ -77,13 +89,8 @@ CallRecord *CallingContextTree::makeRecord(ProcId Proc, CallRecord *Parent) {
   for (unsigned Index = 0; Index != NumSites; ++Index)
     touch(SlotBase + 8 * Index, 8, /*IsWrite=*/true);
 
-  // Per-record path counter table (combined flow + context profiling):
-  // an array when small, a fixed hash table otherwise.
-  if (NumPaths != 0) {
-    uint64_t Cells = std::min<uint64_t>(NumPaths, HashThreshold);
-    uint64_t CellStride = PathCellBytes + (NumPaths > HashThreshold ? 8 : 0);
-    R->PathTableAddr = heapAlloc(Cells * CellStride);
-  }
+  if (F.HasPathTable)
+    R->PathTableAddr = heapAlloc(F.PathTableBytes);
   return R;
 }
 

@@ -233,13 +233,48 @@ public:
   /// list).
   static std::unique_ptr<CallingContextTree> fromImage(const TreeImage &Image);
 
-  /// Record layout constants (Figure 6: ID, parent, metrics[], children[]).
-  /// The root record has two slots (program entry + signal handlers).
+  /// Record layout (Figure 6: ID, parent, metrics[], children[]). The
+  /// root record has two slots (program entry + signal handlers).
   uint64_t recordBytes(ProcId Proc) const {
-    uint64_t NumSites = Proc == RootProcId ? 2 : Procs[Proc].NumSites;
-    return 8 + 8 + 8 * uint64_t(NumMetrics) + 8 * NumSites;
+    return footprint(Procs, Proc, NumMetrics, PathCellBytes, HashThreshold)
+        .RecordBytes;
   }
   static constexpr uint64_t ListCellBytes = 16;
+  /// Every heap allocation starts on a multiple of this.
+  static constexpr uint64_t HeapAlign = 8;
+  /// Bytes the simulated CCT heap holds; allocating past them is fatal.
+  static constexpr uint64_t HeapCapacity =
+      layout::ProfStackBase - layout::CctHeapBase;
+
+  /// Callee slots of a \p Proc record in a tree over \p Procs.
+  static unsigned numSlots(const std::vector<ProcDesc> &Procs, ProcId Proc) {
+    return Proc == RootProcId ? 2 : Procs[Proc].NumSites;
+  }
+  /// True when slot \p Slot of a \p Proc record holds a move-to-front
+  /// list (an indirect site, or the root's signal slot); any other slot
+  /// resolves to at most one callee.
+  static bool isListSlot(const std::vector<ProcDesc> &Procs, ProcId Proc,
+                         size_t Slot) {
+    if (Proc == RootProcId)
+      return Slot == SignalSlot;
+    const std::vector<uint8_t> &Indirect = Procs[Proc].SiteIsIndirect;
+    return Slot < Indirect.size() && Indirect[Slot];
+  }
+  /// The two heap allocations makeRecord makes for one record.
+  struct RecordFootprint {
+    uint64_t RecordBytes = 0;
+    /// False when the procedure keeps no paths.
+    bool HasPathTable = false;
+    /// The per-record path table; UINT64_MAX when its size does not fit
+    /// 64 bits.
+    uint64_t PathTableBytes = 0;
+  };
+  /// What makeRecord allocates for a \p Proc record of a tree with this
+  /// geometry.
+  static RecordFootprint footprint(const std::vector<ProcDesc> &Procs,
+                                   ProcId Proc, unsigned NumMetrics,
+                                   unsigned PathCellBytes,
+                                   uint64_t HashThreshold);
 
 private:
   uint64_t heapAlloc(uint64_t Size);

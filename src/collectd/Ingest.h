@@ -19,11 +19,12 @@
 ///      from the service's is rejected (CrossAcquisition).
 ///   4. Per-(tenant, window) quota (charged to accepted uploads only).
 ///   5. Fold into the window's schema group (keyed by workload, scale,
-///      schema, and program shape). The group's MergeTree trial-merges
-///      the artifact against its running fold before committing it, so
-///      an incompatibility the key cannot see (CCT edge structure,
-///      hashed-table thresholds) rejects this upload at admission —
-///      never a later one, and never the group's accepted contents.
+///      schema, and program shape). The group's MergeTree lifts the
+///      artifact and checks it against its running fold before
+///      overlaying it in place, so an incompatibility the key cannot see
+///      (CCT edge structure, hashed-table thresholds) rejects this upload
+///      at admission — never a later one, and never the group's accepted
+///      contents.
 ///
 /// Ingest runs on a thread pool behind a bounded queue: submit() blocks
 /// for space (backpressure), trySubmit() refuses instead. Threads == 0
@@ -65,7 +66,7 @@ enum class RejectReason : unsigned {
   CrossAcquisition,
   /// The (tenant, window) accepted-upload quota is exhausted.
   QuotaExceeded,
-  /// The admission trial merge failed (structural corruption that passed
+  /// The fold refused the artifact (structural corruption that passed
   /// the decoder, or a shape the group key does not distinguish); the
   /// upload is dropped at admission, the window survives byte-identical.
   MergeFailed,

@@ -2,28 +2,33 @@
 
 #include "collectd/MergeTree.h"
 
-#include "profdb/Merge.h"
+#include <cassert>
 
 using namespace pp;
 using namespace pp::collectd;
 
 bool MergeTree::add(profdb::Artifact A, std::string &Error) {
-  // Admission trial: fold the candidate into the running window fold
-  // before anything is mutated; a failure rejects this one add with the
-  // tree untouched.
-  profdb::Artifact NewFold;
+  // Every rule that can refuse A runs inside lift or overlay before the
+  // fold changes, so a failure rejects this one add with the tree intact.
+  profdb::MergeForm Leaf;
+  if (!profdb::MergeForm::lift(A, Leaf, Error))
+    return false;
   if (!Leaves) {
-    // First leaf: self-merge exercises the structural checks the decoder
-    // does not make (tree shape, backedge consistency), so a structurally
-    // corrupt artifact cannot seed a group it would then poison.
-    if (!profdb::mergeArtifacts(A, A, NewFold, Error))
+    // A window of one upload folds to that upload, byte for byte.
+    Cached = std::move(A);
+  } else if (Cached) {
+    // The fold is held as an artifact; lift it back to overlay onto it.
+    profdb::MergeForm Lifted;
+    [[maybe_unused]] bool Ok = profdb::MergeForm::lift(*Cached, Lifted, Error);
+    assert(Ok && "an accepted upload or an emitted fold always lifts");
+    if (!Lifted.overlay(std::move(Leaf), Error))
       return false;
-    NewFold = profdb::cloneArtifact(A);
-  } else if (!profdb::mergeArtifacts(Fold, A, NewFold, Error)) {
+    Fold = std::move(Lifted);
+    Cached.reset();
+  } else if (!Fold.overlay(std::move(Leaf), Error)) {
     return false;
   }
   ++Leaves;
-  Fold = std::move(NewFold);
   return true;
 }
 
@@ -32,5 +37,7 @@ const profdb::Artifact *MergeTree::folded(std::string &Error) {
     Error = "empty merge tree";
     return nullptr;
   }
-  return &Fold;
+  if (!Cached)
+    Cached = std::move(Fold).emit();
+  return &*Cached;
 }

@@ -5,11 +5,11 @@
 #include "driver/FaultInjector.h"
 #include "driver/OutcomeIO.h"
 #include "obs/Obs.h"
+#include "profdb/Store.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace pp;
@@ -95,7 +95,11 @@ void RunCache::insert(const RunKey &Key, const OutcomePtr &Outcome) {
     ++Counts.WriteFailures;
     return;
   }
-  ::mkdir(DiskDir.c_str(), 0755);
+  // The whole path, mkdir -p style: a nested PP_RUN_CACHE_DIR whose
+  // parents do not exist yet must not fail every write. A real failure
+  // surfaces below as an unopenable temp file.
+  std::string DirError;
+  (void)profdb::makeDirs(DiskDir, DirError);
   // Write-to-temp + rename, so concurrent bench processes sharing the
   // cache directory only ever observe complete files.
   std::vector<uint8_t> Bytes = serializeOutcome(*Outcome, Key.Fingerprint);

@@ -176,6 +176,18 @@ private:
 
   // --- Pass 2: instruction bodies ----------------------------------------------
 
+  /// A block ends where the next label, '}' or the input does; one that
+  /// ends without a terminator would abort BasicBlock::terminator() in
+  /// every later pass, so it is a parse error at \p LineNo.
+  bool closeBlock(BasicBlock *&Block, size_t LineNo) {
+    BasicBlock *Closed = Block;
+    Block = nullptr;
+    if (!Closed || Closed->hasTerminator())
+      return true;
+    return fail(LineNo, "block '" + Closed->name() +
+                            "' does not end in a terminator");
+  }
+
   bool parseBody() {
     Function *Current = nullptr;
     BasicBlock *Block = nullptr;
@@ -187,14 +199,17 @@ private:
         continue;
       }
       if (C.eatWord("func")) {
+        if (!closeBlock(Block, LineNo))
+          return false;
         C.eat('@');
         Current = Functions.at(C.ident());
-        Block = nullptr;
         continue;
       }
       {
         Cursor Probe{Lines[LineNo]};
         if (Probe.eat('}')) {
+          if (!closeBlock(Block, LineNo))
+            return false;
           Current = nullptr;
           continue;
         }
@@ -210,6 +225,8 @@ private:
         Cursor Probe{Lines[LineNo]};
         std::string Label = Probe.ident();
         if (!Label.empty() && Probe.eat(':') && Probe.atEnd()) {
+          if (!closeBlock(Block, LineNo))
+            return false;
           Block = Blocks.at({Current, Label});
           continue;
         }
@@ -217,11 +234,16 @@ private:
       if (!Block)
         return fail(LineNo, "instruction before any block label");
       Inst I;
-      if (!parseInst(LineNo, Current, I))
+      if (!parseInst(C, LineNo, Current, I))
         return false;
+      // One instruction per line: text left over is a second instruction
+      // (or junk) that the block would otherwise silently lose.
+      if (!C.atEnd())
+        return fail(LineNo, "unexpected '" + C.Text.substr(C.Pos) +
+                                "' after the instruction");
       Block->insts().push_back(std::move(I));
     }
-    return Error.empty();
+    return closeBlock(Block, Lines.size()) && Error.empty();
   }
 
   bool parseReg(Cursor &C, size_t LineNo, Reg &Out, bool AllowNone = false) {
@@ -298,8 +320,8 @@ private:
     return true;
   }
 
-  bool parseInst(size_t LineNo, Function *F, Inst &I) {
-    Cursor C{Lines[LineNo]};
+  /// Parses the instruction starting at \p C, leaving \p C after it.
+  bool parseInst(Cursor &C, size_t LineNo, Function *F, Inst &I) {
     std::string Op = C.ident();
 
     // loadN / storeN carry their width in the mnemonic.

@@ -15,7 +15,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 using namespace pp;
@@ -79,9 +81,20 @@ size_t cachedRingCapacity() {
 /// release store of Count; any reader that loads Count with acquire sees
 /// every record below it fully written. Appends never lock and never
 /// block: a full ring counts the drop and moves on.
+///
+/// The ring is raw storage whose records are constructed as they are
+/// written, so a thread pins resident memory only for the records it
+/// writes, not for its whole capacity (2 MiB by default).
 struct ThreadBuffer {
+  static_assert(std::is_trivially_destructible_v<Record>,
+                "ring records are overwritten, never destroyed");
+  struct FreeRing {
+    void operator()(Record *Ring) const { ::operator delete(Ring); }
+  };
+
   const size_t Capacity = cachedRingCapacity();
-  std::vector<Record> Ring{Capacity};
+  std::unique_ptr<Record[], FreeRing> Ring{
+      static_cast<Record *>(::operator new(Capacity * sizeof(Record)))};
   std::atomic<size_t> Count{0};
   std::atomic<uint64_t> Dropped{0};
   unsigned Lane = 0;
@@ -92,7 +105,7 @@ struct ThreadBuffer {
       Dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    Ring[Index] = R;
+    new (&Ring[Index]) Record(R);
     Count.store(Index + 1, std::memory_order_release);
   }
 };

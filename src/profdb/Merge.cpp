@@ -2,15 +2,16 @@
 
 #include "profdb/Merge.h"
 
+#include "cct/CallingContextTree.h"
 #include "obs/Obs.h"
 #include "support/Env.h"
 #include "support/Format.h"
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <thread>
 
 using namespace pp;
@@ -33,79 +34,182 @@ unsigned profdb::mergeThreadsFromEnv() {
   return std::clamp(Hardware ? Hardware : 4u, 4u, 16u);
 }
 
-namespace {
+namespace pp {
+namespace profdb {
 
-/// The merge-time view of one CCT vertex: children keyed by (slot,
-/// callee), backedges by (slot, callee, ancestor distance). std::map keys
-/// make every traversal canonical regardless of the order the shards
-/// presented their records in.
-struct MNode {
+/// The merge-time view of one CCT vertex. Its slots are implicit — the
+/// procedure fixes how many there are and which are lists — and only the
+/// resolved ones appear, as edges sorted by (slot, callee): the canonical
+/// order emit replays them in, whatever order the shards presented their
+/// records in.
+struct MergeNode {
   cct::ProcId Proc = cct::RootProcId;
   std::vector<uint64_t> Metrics;
-  std::map<uint64_t, cct::PathCell> Cells;
+  /// Per-path counters, ascending by path sum.
+  std::vector<std::pair<uint64_t, cct::PathCell>> Cells;
 
-  struct MSlot {
-    uint8_t Kind = 0; // CallRecord::Slot::Kind
-    std::map<cct::ProcId, std::unique_ptr<MNode>> Children;
-    /// Recursion backedges: callee -> ancestor distance from the owner
-    /// (0 = the owner itself, 1 = its parent, ...).
-    std::map<cct::ProcId, unsigned> Backedges;
+  /// One resolved callee of one slot: a child record, or a recursion
+  /// backedge to the ancestor Distance levels up (0 = this record).
+  struct Edge {
+    /// (slot << 32) | callee: edges ascend by it.
+    uint64_t Key = 0;
+    uint32_t Distance = 0;
+    std::unique_ptr<MergeNode> Child;
+
+    uint32_t slot() const { return static_cast<uint32_t>(Key >> 32); }
+    cct::ProcId callee() const { return static_cast<cct::ProcId>(Key); }
   };
-  std::vector<MSlot> Slots;
+  std::vector<Edge> Edges;
 };
 
-constexpr uint8_t KindUnresolved =
-    static_cast<uint8_t>(cct::CallRecord::Slot::Kind::Unresolved);
+} // namespace profdb
+} // namespace pp
 
-/// Lifts \p Image into the merge structure. Rejects images whose edges do
-/// not form a tree-with-backedges (the only shape enter() can build).
-bool buildMergedTree(const cct::TreeImage &Image, std::unique_ptr<MNode> &Out,
-                     std::string &Error) {
-  const auto &Records = Image.Records;
+namespace {
+
+using CCT = cct::CallingContextTree;
+static_assert(CCT::ListCellBytes % CCT::HeapAlign == 0,
+              "list cells are counted unpadded");
+
+/// The CCT geometry a lifted tree is read against. The record layout is
+/// CallingContextTree's (numSlots, isListSlot, footprint).
+struct Geometry {
+  const std::vector<cct::ProcDesc> &Procs;
+  unsigned NumMetrics;
+  unsigned PathCellBytes;
+  uint64_t HashThreshold;
+
+  /// Heap bytes emit() allocates for \p N's subtree: each record, its path
+  /// table, and one cell per list entry, every allocation rounded up to
+  /// the allocator's alignment. A path table counts at most the whole
+  /// heap, so the sum cannot wrap.
+  uint64_t subtreeHeapBytes(const MergeNode &N) const {
+    auto Aligned = [](uint64_t Bytes) {
+      return (Bytes + CCT::HeapAlign - 1) & ~(CCT::HeapAlign - 1);
+    };
+    CCT::RecordFootprint F = CCT::footprint(Procs, N.Proc, NumMetrics,
+                                            PathCellBytes, HashThreshold);
+    uint64_t Bytes = Aligned(F.RecordBytes);
+    if (F.HasPathTable)
+      Bytes += Aligned(std::min(F.PathTableBytes, CCT::HeapCapacity));
+    for (const MergeNode::Edge &E : N.Edges) {
+      if (CCT::isListSlot(Procs, N.Proc, E.slot()))
+        Bytes += CCT::ListCellBytes;
+      if (E.Child)
+        Bytes += subtreeHeapBytes(*E.Child);
+    }
+    return Bytes;
+  }
+};
+
+/// Sums the ascending, key-unique \p B into the ascending, key-unique
+/// \p A by \p Key in one merge walk, adding matched entries with \p Add;
+/// \p B's entries may be moved from.
+template <typename T, typename KeyFn, typename AddFn>
+void sumSorted(std::vector<T> &A, std::vector<T> &B, KeyFn Key, AddFn Add) {
+  if (B.empty())
+    return;
+  std::vector<T> Merged;
+  Merged.reserve(A.size() + B.size());
+  size_t IA = 0, IB = 0;
+  while (IA != A.size() || IB != B.size()) {
+    if (IB == B.size() || (IA != A.size() && Key(A[IA]) < Key(B[IB]))) {
+      Merged.push_back(std::move(A[IA++]));
+    } else if (IA == A.size() || Key(B[IB]) < Key(A[IA])) {
+      Merged.push_back(std::move(B[IB++]));
+    } else {
+      Merged.push_back(std::move(A[IA++]));
+      Add(Merged.back(), B[IB++]);
+    }
+  }
+  A = std::move(Merged);
+}
+
+/// Lifts \p Image into the merge structure, taking its records' metric
+/// and cell vectors. Rejects every image CallingContextTree::enter()
+/// could not have built, so that overlaying and emitting lifted trees
+/// cannot fail:
+///   - records whose slot count or slot kinds disagree with their
+///     procedure (as makeRecord lays a record out);
+///   - edges that do not form a tree with backedges;
+///   - a child whose procedure is its owner's or an ancestor's (enter()
+///     resolves that call to the ancestor, as recursion).
+/// The last rule makes the procedures on every root path distinct, so a
+/// backedge's ancestor — and with it its distance — follows from the
+/// path alone, and two trees agree on it wherever they share a path.
+bool liftTree(cct::TreeImage &Image, const Geometry &G,
+              std::unique_ptr<MergeNode> &Out, std::string &Error) {
+  auto &Records = Image.Records;
   if (Records.empty() || Records[0].Proc != cct::RootProcId ||
       Records[0].Parent != -1) {
     Error = "tree has no root record";
     return false;
   }
   size_t N = Records.size();
-  std::vector<std::unique_ptr<MNode>> Owned(N);
-  std::vector<MNode *> Node(N);
+  std::vector<std::unique_ptr<MergeNode>> Owned(N);
+  std::vector<MergeNode *> Node(N);
   std::vector<unsigned> Depth(N, 0);
   for (size_t Index = 0; Index != N; ++Index) {
-    Owned[Index] = std::make_unique<MNode>();
-    Node[Index] = Owned[Index].get();
-    Node[Index]->Proc = Records[Index].Proc;
-    Node[Index]->Metrics = Records[Index].Metrics;
-    if (Node[Index]->Metrics.size() != Image.NumMetrics) {
+    cct::TreeImage::Record &Rec = Records[Index];
+    if (Rec.Metrics.size() != Image.NumMetrics) {
       Error = "record metric vector disagrees with the tree's metric count";
       return false;
     }
-    for (const auto &[Sum, Cell] : Records[Index].PathCells)
-      Node[Index]->Cells[Sum] = Cell;
-    Node[Index]->Slots.resize(Records[Index].Slots.size());
-    if (Index == 0)
-      continue;
-    int64_t Parent = Records[Index].Parent;
-    if (Parent < 0 || static_cast<size_t>(Parent) >= Index) {
-      Error = "record parents do not precede their children";
+    if (Index != 0) {
+      if (Rec.Parent < 0 || static_cast<size_t>(Rec.Parent) >= Index) {
+        Error = "record parents do not precede their children";
+        return false;
+      }
+      if (Rec.Proc >= Image.Procs.size()) {
+        Error = "record names no procedure of the tree";
+        return false;
+      }
+      for (int64_t Up = Rec.Parent; Up >= 0; Up = Records[Up].Parent)
+        if (Records[Up].Proc == Rec.Proc) {
+          Error = "child callee collides with an ancestor";
+          return false;
+        }
+      Depth[Index] = Depth[static_cast<size_t>(Rec.Parent)] + 1;
+    }
+    if (Rec.Slots.size() != CCT::numSlots(G.Procs, Rec.Proc)) {
+      Error = "record slot count disagrees with its procedure's call sites";
       return false;
     }
-    Depth[Index] = Depth[static_cast<size_t>(Parent)] + 1;
+    Owned[Index] = std::make_unique<MergeNode>();
+    Node[Index] = Owned[Index].get();
+    Node[Index]->Proc = Rec.Proc;
+    Node[Index]->Metrics = std::move(Rec.Metrics);
+    // image() lists a record's cells once each, ascending by path sum.
+    Node[Index]->Cells = std::move(Rec.PathCells);
   }
 
+  using Kind = cct::CallRecord::Slot::Kind;
   std::vector<uint8_t> Placed(N, 0);
   for (size_t Index = 0; Index != N; ++Index) {
     const cct::TreeImage::Record &Rec = Records[Index];
+    std::vector<MergeNode::Edge> &Edges = Node[Index]->Edges;
     for (size_t S = 0; S != Rec.Slots.size(); ++S) {
-      MNode::MSlot &Slot = Node[Index]->Slots[S];
-      Slot.Kind = Rec.Slots[S].Kind;
-      for (const auto &[Target, CellAddr] : Rec.Slots[S].Targets) {
+      const cct::TreeImage::Slot &From = Rec.Slots[S];
+      bool List = CCT::isListSlot(G.Procs, Rec.Proc, S);
+      Kind K = static_cast<Kind>(From.Kind);
+      if (List != (K == Kind::List)) {
+        Error = "call-site slot kind disagrees with its procedure (direct "
+                "vs indirect)";
+        return false;
+      }
+      if (!List && From.Targets.size() != (K == Kind::Record ? 1 : 0)) {
+        Error = "direct call-site slot does not hold exactly its one callee";
+        return false;
+      }
+      size_t First = Edges.size();
+      for (const auto &[Target, CellAddr] : From.Targets) {
         (void)CellAddr; // list-cell addresses are reassigned canonically
         if (Target >= N) {
           Error = "slot target out of range";
           return false;
         }
-        cct::ProcId Callee = Records[Target].Proc;
+        MergeNode::Edge E;
+        E.Key = uint64_t(S) << 32 | Records[Target].Proc;
         if (Target != Index &&
             Records[Target].Parent == static_cast<int64_t>(Index)) {
           // Tree edge: this slot owns the child.
@@ -113,35 +217,34 @@ bool buildMergedTree(const cct::TreeImage &Image, std::unique_ptr<MNode> &Out,
             Error = "record claimed as a child by two slots";
             return false;
           }
-          if (Slot.Children.count(Callee) || Slot.Backedges.count(Callee)) {
-            Error = "duplicate callee in one call-site slot";
-            return false;
-          }
-          Slot.Children[Callee] = std::move(Owned[Target]);
+          E.Child = std::move(Owned[Target]);
           Placed[Target] = 1;
         } else {
           // Must be a recursion backedge: the target is the owner or one
           // of its ancestors.
           size_t Walk = Index;
-          for (;;) {
-            if (Walk == Target)
-              break;
+          while (Walk != Target) {
             if (Records[Walk].Parent < 0) {
               Error = "slot target is neither a child nor an ancestor";
               return false;
             }
             Walk = static_cast<size_t>(Records[Walk].Parent);
           }
-          unsigned Distance = Depth[Index] - Depth[Target];
-          auto It = Slot.Backedges.find(Callee);
-          if (Slot.Children.count(Callee) ||
-              (It != Slot.Backedges.end() && It->second != Distance)) {
-            Error = "conflicting backedge for one call-site slot";
-            return false;
-          }
-          Slot.Backedges[Callee] = Distance;
+          E.Distance = Depth[Index] - Depth[Target];
         }
+        Edges.push_back(std::move(E));
       }
+      // A list is kept most recent first; the merge form keeps callees
+      // ascending.
+      std::sort(Edges.begin() + First, Edges.end(),
+                [](const MergeNode::Edge &L, const MergeNode::Edge &R) {
+                  return L.Key < R.Key;
+                });
+      for (size_t E = First + 1; E < Edges.size(); ++E)
+        if (Edges[E - 1].Key == Edges[E].Key) {
+          Error = "duplicate callee in one call-site slot";
+          return false;
+        }
     }
   }
   for (size_t Index = 1; Index != N; ++Index)
@@ -153,161 +256,107 @@ bool buildMergedTree(const cct::TreeImage &Image, std::unique_ptr<MNode> &Out,
   return true;
 }
 
-/// Sums \p B into \p A, uniting structure. \p B is consumed (unmatched
-/// subtrees are moved, not copied).
-bool overlay(MNode &A, MNode &B, std::string &Error) {
-  if (A.Proc != B.Proc) {
-    Error = "procedure mismatch between matched records";
-    return false;
-  }
-  if (A.Metrics.size() != B.Metrics.size()) {
-    Error = "metric vector length mismatch between matched records";
-    return false;
-  }
-  for (size_t Index = 0; Index != A.Metrics.size(); ++Index)
-    A.Metrics[Index] += B.Metrics[Index];
-  for (const auto &[Sum, Cell] : B.Cells) {
-    cct::PathCell &Into = A.Cells[Sum];
-    Into.Freq += Cell.Freq;
-    Into.Metric0 += Cell.Metric0;
-    Into.Metric1 += Cell.Metric1;
-  }
-  if (A.Slots.size() != B.Slots.size()) {
-    Error = "call-site count mismatch between matched records";
-    return false;
-  }
-  for (size_t S = 0; S != A.Slots.size(); ++S) {
-    MNode::MSlot &SA = A.Slots[S];
-    MNode::MSlot &SB = B.Slots[S];
-    if (SA.Kind == KindUnresolved)
-      SA.Kind = SB.Kind;
-    else if (SB.Kind != KindUnresolved && SB.Kind != SA.Kind) {
-      Error = "call-site slot kind conflict (direct vs indirect)";
-      return false;
+/// Pairs \p B's vertices with their matches in \p A, depth first, and
+/// adds to \p Heap the bytes emit() will allocate for what \p B brings
+/// that \p A lacks. The one rule lift() cannot see is checked here: a
+/// direct call site both trees resolve must resolve to the same callee.
+bool matchTrees(MergeNode &A, MergeNode &B, const Geometry &G,
+                std::vector<std::pair<MergeNode *, MergeNode *>> &Pairs,
+                uint64_t &Heap, std::string &Error) {
+  Pairs.emplace_back(&A, &B);
+  size_t IA = 0;
+  for (MergeNode::Edge &E : B.Edges) {
+    while (IA != A.Edges.size() && A.Edges[IA].Key < E.Key)
+      ++IA;
+    if (IA != A.Edges.size() && A.Edges[IA].Key == E.Key) {
+      // Lift fixed child-or-backedge, and the distance, by the path.
+      assert(!E.Child == !A.Edges[IA].Child &&
+             E.Distance == A.Edges[IA].Distance);
+      if (E.Child &&
+          !matchTrees(*A.Edges[IA].Child, *E.Child, G, Pairs, Heap, Error))
+        return false;
+      continue;
     }
-    for (auto &[Callee, Child] : SB.Children) {
-      if (SA.Backedges.count(Callee)) {
-        Error = "callee is a child in one profile, recursion in the other";
+    if (!CCT::isListSlot(G.Procs, B.Proc, E.slot())) {
+      // A direct slot holds one callee; A's, if any, sits next to where
+      // E would go.
+      if ((IA != A.Edges.size() && A.Edges[IA].slot() == E.slot()) ||
+          (IA != 0 && A.Edges[IA - 1].slot() == E.slot())) {
+        Error = "direct call site resolves to different callees in the two "
+                "profiles";
         return false;
       }
-      auto It = SA.Children.find(Callee);
-      if (It == SA.Children.end())
-        SA.Children[Callee] = std::move(Child);
-      else if (!overlay(*It->second, *Child, Error))
-        return false;
+    } else {
+      Heap += CCT::ListCellBytes;
     }
-    for (const auto &[Callee, Distance] : SB.Backedges) {
-      if (SA.Children.count(Callee)) {
-        Error = "callee is a child in one profile, recursion in the other";
-        return false;
-      }
-      auto It = SA.Backedges.find(Callee);
-      if (It == SA.Backedges.end())
-        SA.Backedges[Callee] = Distance;
-      else if (It->second != Distance) {
-        Error = "recursion backedge height mismatch";
-        return false;
-      }
-    }
+    if (E.Child)
+      Heap += G.subtreeHeapBytes(*E.Child);
   }
   return true;
+}
+
+/// Sums matched vertex \p B into \p A and grafts the edges of \p B that
+/// \p A lacks. Matched children are summed as pairs of their own.
+void sumInto(MergeNode &A, MergeNode &B) {
+  for (size_t Index = 0; Index != A.Metrics.size(); ++Index)
+    A.Metrics[Index] += B.Metrics[Index];
+  sumSorted(
+      A.Cells, B.Cells, [](const auto &Cell) { return Cell.first; },
+      [](auto &Into, const auto &From) {
+        Into.second.Freq += From.second.Freq;
+        Into.second.Metric0 += From.second.Metric0;
+        Into.second.Metric1 += From.second.Metric1;
+      });
+  sumSorted(
+      A.Edges, B.Edges, [](const MergeNode::Edge &E) { return E.Key; },
+      [](MergeNode::Edge &, MergeNode::Edge &) {});
 }
 
 /// Replays the merged structure through the real CCT allocator in a
-/// canonical order — node, then its slots in index order, each slot's
-/// callees in ascending ProcId order — so addresses, heap usage, and list
-/// layout depend only on the merged structure.
-bool emitNode(cct::CallingContextTree &Tree, cct::CallRecord *R, MNode &N,
-              std::string &Error) {
-  R->Metrics = N.Metrics;
+/// canonical order — node, then its edges by ascending (slot, callee) —
+/// so addresses, heap usage, and list layout depend only on the merged
+/// structure. Takes \p N's metric vectors.
+void emitNode(cct::CallingContextTree &Tree, cct::CallRecord *R,
+              MergeNode &N) {
+  R->Metrics = std::move(N.Metrics);
   for (const auto &[Sum, Cell] : N.Cells)
     R->PathTable.emplace(Sum, Cell);
-  for (size_t S = 0; S != N.Slots.size(); ++S) {
-    MNode::MSlot &Slot = N.Slots[S];
-    auto Child = Slot.Children.begin();
-    auto Back = Slot.Backedges.begin();
-    // Interleave children and backedges in one ascending callee order.
-    while (Child != Slot.Children.end() || Back != Slot.Backedges.end()) {
-      bool TakeChild =
-          Back == Slot.Backedges.end() ||
-          (Child != Slot.Children.end() && Child->first < Back->first);
-      if (TakeChild) {
-        cct::CallRecord *C =
-            Tree.enter(R, static_cast<unsigned>(S), Child->first);
-        if (C->parent() != R) {
-          Error = "merged child callee collides with an ancestor";
-          return false;
-        }
-        if (!emitNode(Tree, C, *Child->second, Error))
-          return false;
-        ++Child;
-      } else {
-        cct::CallRecord *C =
-            Tree.enter(R, static_cast<unsigned>(S), Back->first);
-        if (C->depth() + Back->second != R->depth()) {
-          Error = "recursion backedge resolved to an unexpected ancestor";
-          return false;
-        }
-        ++Back;
+  for (MergeNode::Edge &E : N.Edges) {
+    cct::CallRecord *C = Tree.enter(R, E.slot(), E.callee());
+    if (E.Child) {
+      assert(C->parent() == R && "lift admits no child that recurses");
+      emitNode(Tree, C, *E.Child);
+    } else {
+      assert(C->depth() + E.Distance == R->depth() &&
+             "lift admits only backedges to the unique ancestor");
+    }
+  }
+}
+
+/// Checks that lifted path tables are strictly ascending by path sum, the
+/// order every acquisition engine extracts them in and the summing walk
+/// relies on.
+bool pathsAscend(const std::vector<prof::FunctionPathProfile> &Profiles,
+                 std::string &Error) {
+  for (const prof::FunctionPathProfile &P : Profiles)
+    for (size_t Index = 1; Index < P.Paths.size(); ++Index)
+      if (P.Paths[Index - 1].PathSum >= P.Paths[Index].PathSum) {
+        Error = formatString("path table of function %u is not strictly "
+                             "ascending by path sum",
+                             P.FuncId);
+        return false;
       }
-    }
-  }
   return true;
 }
 
-bool mergeTrees(const cct::CallingContextTree &A,
-                const cct::CallingContextTree &B,
-                std::unique_ptr<cct::CallingContextTree> &Out,
-                std::string &Error) {
-  cct::TreeImage ImageA = A.image();
-  cct::TreeImage ImageB = B.image();
-  if (ImageA.NumMetrics != ImageB.NumMetrics ||
-      ImageA.PathCellBytes != ImageB.PathCellBytes ||
-      ImageA.HashThreshold != ImageB.HashThreshold) {
-    Error = "CCT geometry mismatch (metrics / path-cell stride / hash "
-            "threshold)";
-    return false;
-  }
-  if (ImageA.Procs.size() != ImageB.Procs.size()) {
-    Error = "CCT procedure tables differ";
-    return false;
-  }
-  for (size_t Index = 0; Index != ImageA.Procs.size(); ++Index) {
-    const cct::ProcDesc &PA = ImageA.Procs[Index];
-    const cct::ProcDesc &PB = ImageB.Procs[Index];
-    if (PA.Name != PB.Name || PA.NumSites != PB.NumSites ||
-        PA.SiteIsIndirect != PB.SiteIsIndirect ||
-        PA.NumPaths != PB.NumPaths) {
-      Error = "CCT procedure tables differ";
-      return false;
-    }
-  }
-
-  std::unique_ptr<MNode> Merged, Other;
-  if (!buildMergedTree(ImageA, Merged, Error) ||
-      !buildMergedTree(ImageB, Other, Error) ||
-      !overlay(*Merged, *Other, Error))
-    return false;
-
-  auto Tree = std::make_unique<cct::CallingContextTree>(
-      ImageA.Procs, ImageA.NumMetrics, nullptr, ImageA.PathCellBytes,
-      ImageA.HashThreshold);
-  if (!emitNode(*Tree, Tree->root(), *Merged, Error))
-    return false;
-  Out = std::move(Tree);
-  return true;
-}
-
-bool mergePathProfiles(const std::vector<prof::FunctionPathProfile> &A,
-                       const std::vector<prof::FunctionPathProfile> &B,
-                       std::vector<prof::FunctionPathProfile> &Out,
-                       std::string &Error) {
+/// The shape rules two path-profile sets must agree on to be summed.
+bool pathShapesAgree(const std::vector<prof::FunctionPathProfile> &A,
+                     const std::vector<prof::FunctionPathProfile> &B,
+                     std::string &Error) {
   if (A.size() != B.size()) {
     Error = "path-profile function counts differ";
     return false;
   }
-  Out.clear();
-  Out.reserve(A.size());
   for (size_t Index = 0; Index != A.size(); ++Index) {
     const prof::FunctionPathProfile &PA = A[Index];
     const prof::FunctionPathProfile &PB = B[Index];
@@ -326,45 +375,54 @@ bool mergePathProfiles(const std::vector<prof::FunctionPathProfile> &A,
                            PA.FuncId);
       return false;
     }
-    prof::FunctionPathProfile Merged;
-    Merged.FuncId = PA.FuncId;
-    Merged.HasProfile = PA.HasProfile;
-    Merged.NumPaths = PA.NumPaths;
-    Merged.Hashed = PA.Hashed;
-    Merged.KIters = PA.KIters;
-    // Both sides are sorted by PathSum; a merge walk keeps the output
-    // sorted and sums entries present in both.
-    size_t IA = 0, IB = 0;
-    while (IA != PA.Paths.size() || IB != PB.Paths.size()) {
-      bool TakeA = IB == PB.Paths.size() ||
-                   (IA != PA.Paths.size() &&
-                    PA.Paths[IA].PathSum <= PB.Paths[IB].PathSum);
-      bool TakeB = IA == PA.Paths.size() ||
-                   (IB != PB.Paths.size() &&
-                    PB.Paths[IB].PathSum <= PA.Paths[IA].PathSum);
-      prof::PathEntry Entry;
-      if (TakeA && TakeB) {
-        Entry = PA.Paths[IA];
-        Entry.Freq += PB.Paths[IB].Freq;
-        Entry.Metric0 += PB.Paths[IB].Metric0;
-        Entry.Metric1 += PB.Paths[IB].Metric1;
-        ++IA, ++IB;
-      } else if (TakeA) {
-        Entry = PA.Paths[IA++];
-      } else {
-        Entry = PB.Paths[IB++];
-      }
-      Merged.Paths.push_back(Entry);
-    }
-    Out.push_back(std::move(Merged));
   }
   return true;
 }
 
 } // namespace
 
-bool profdb::mergeArtifacts(const Artifact &A, const Artifact &B,
-                            Artifact &Out, std::string &Error) {
+MergeForm::MergeForm() = default;
+MergeForm::MergeForm(MergeForm &&) noexcept = default;
+MergeForm &MergeForm::operator=(MergeForm &&) noexcept = default;
+MergeForm::~MergeForm() = default;
+
+bool MergeForm::lift(const Artifact &A, MergeForm &Out, std::string &Error) {
+  if (!pathsAscend(A.PathProfiles, Error))
+    return false;
+  MergeForm Form;
+  Artifact &F = Form.Fields;
+  F.SourceHash = A.SourceHash;
+  F.RunCount = A.RunCount;
+  F.Workload = A.Workload;
+  F.Scale = A.Scale;
+  F.Schema = A.Schema;
+  F.ExecutedInsts = A.ExecutedInsts;
+  F.Totals = A.Totals;
+  F.Functions = A.Functions;
+  F.PathProfiles = A.PathProfiles;
+  if (A.Tree) {
+    cct::TreeImage Image = A.Tree->image();
+    Geometry G{Image.Procs, Image.NumMetrics, Image.PathCellBytes,
+               Image.HashThreshold};
+    if (!liftTree(Image, G, Form.Root, Error))
+      return false;
+    Form.HeapBytes = G.subtreeHeapBytes(*Form.Root);
+    Form.Procs = std::move(Image.Procs);
+    Form.NumMetrics = Image.NumMetrics;
+    Form.PathCellBytes = Image.PathCellBytes;
+    Form.HashThreshold = Image.HashThreshold;
+    if (Form.HeapBytes >= CCT::HeapCapacity) {
+      Error = "CCT does not fit the simulated CCT heap";
+      return false;
+    }
+  }
+  Out = std::move(Form);
+  return true;
+}
+
+bool MergeForm::overlay(MergeForm &&Other, std::string &Error) {
+  const Artifact &A = Fields;
+  Artifact &B = Other.Fields;
   // A k mismatch is a schema mismatch too, but deserves its own message:
   // the artifacts may agree on every metric and still count incomparable
   // path spaces.
@@ -397,31 +455,91 @@ bool profdb::mergeArtifacts(const Artifact &A, const Artifact &B,
             "builds)";
     return false;
   }
-  if (static_cast<bool>(A.Tree) != static_cast<bool>(B.Tree)) {
+  if (static_cast<bool>(Root) != static_cast<bool>(Other.Root)) {
     Error = "one artifact has a CCT and the other does not";
     return false;
   }
+  if (!pathShapesAgree(A.PathProfiles, B.PathProfiles, Error))
+    return false;
 
-  Artifact Merged;
-  Merged.RunCount = A.RunCount + B.RunCount;
-  Merged.SourceHash = A.SourceHash ^ B.SourceHash;
-  Merged.Fingerprint = formatString(
+  std::vector<std::pair<MergeNode *, MergeNode *>> Pairs;
+  uint64_t Heap = HeapBytes;
+  if (Root) {
+    if (NumMetrics != Other.NumMetrics ||
+        PathCellBytes != Other.PathCellBytes ||
+        HashThreshold != Other.HashThreshold) {
+      Error = "CCT geometry mismatch (metrics / path-cell stride / hash "
+              "threshold)";
+      return false;
+    }
+    if (Procs.size() != Other.Procs.size()) {
+      Error = "CCT procedure tables differ";
+      return false;
+    }
+    for (size_t Index = 0; Index != Procs.size(); ++Index) {
+      const cct::ProcDesc &PA = Procs[Index];
+      const cct::ProcDesc &PB = Other.Procs[Index];
+      if (PA.Name != PB.Name || PA.NumSites != PB.NumSites ||
+          PA.SiteIsIndirect != PB.SiteIsIndirect ||
+          PA.NumPaths != PB.NumPaths) {
+        Error = "CCT procedure tables differ";
+        return false;
+      }
+    }
+    Geometry G{Procs, NumMetrics, PathCellBytes, HashThreshold};
+    if (!matchTrees(*Root, *Other.Root, G, Pairs, Heap, Error))
+      return false;
+    if (Heap >= CCT::HeapCapacity) {
+      Error = "merged CCT does not fit the simulated CCT heap";
+      return false;
+    }
+  }
+
+  // Every rule has passed; nothing below can fail.
+  Fields.RunCount += B.RunCount;
+  Fields.SourceHash ^= B.SourceHash;
+  Fields.ExecutedInsts += B.ExecutedInsts;
+  for (size_t Index = 0; Index != Fields.Totals.size(); ++Index)
+    Fields.Totals[Index] += B.Totals[Index];
+  for (size_t Index = 0; Index != Fields.PathProfiles.size(); ++Index)
+    sumSorted(
+        Fields.PathProfiles[Index].Paths, B.PathProfiles[Index].Paths,
+        [](const prof::PathEntry &E) { return E.PathSum; },
+        [](prof::PathEntry &Into, const prof::PathEntry &From) {
+          Into.Freq += From.Freq;
+          Into.Metric0 += From.Metric0;
+          Into.Metric1 += From.Metric1;
+        });
+  for (const auto &[Into, From] : Pairs)
+    sumInto(*Into, *From);
+  HeapBytes = Heap;
+  return true;
+}
+
+Artifact MergeForm::emit() && {
+  Artifact Out = std::move(Fields);
+  Out.Fingerprint = formatString(
       "merged;v1;runs=%llu;src=%016llx",
-      static_cast<unsigned long long>(Merged.RunCount),
-      static_cast<unsigned long long>(Merged.SourceHash));
-  Merged.Workload = A.Workload;
-  Merged.Scale = A.Scale;
-  Merged.Schema = A.Schema;
-  Merged.ExecutedInsts = A.ExecutedInsts + B.ExecutedInsts;
-  for (size_t Index = 0; Index != Merged.Totals.size(); ++Index)
-    Merged.Totals[Index] = A.Totals[Index] + B.Totals[Index];
-  Merged.Functions = A.Functions;
-  if (!mergePathProfiles(A.PathProfiles, B.PathProfiles, Merged.PathProfiles,
-                         Error))
+      static_cast<unsigned long long>(Out.RunCount),
+      static_cast<unsigned long long>(Out.SourceHash));
+  if (Root) {
+    auto Tree = std::make_unique<cct::CallingContextTree>(
+        std::move(Procs), NumMetrics, nullptr, PathCellBytes, HashThreshold);
+    emitNode(*Tree, Tree->root(), *Root);
+    Out.Tree = std::move(Tree);
+    Root.reset();
+  }
+  return Out;
+}
+
+bool profdb::mergeArtifacts(const Artifact &A, const Artifact &B,
+                            Artifact &Out, std::string &Error) {
+  MergeForm Merged, Other;
+  if (!MergeForm::lift(A, Merged, Error) ||
+      !MergeForm::lift(B, Other, Error) ||
+      !Merged.overlay(std::move(Other), Error))
     return false;
-  if (A.Tree && !mergeTrees(*A.Tree, *B.Tree, Merged.Tree, Error))
-    return false;
-  Out = std::move(Merged);
+  Out = std::move(Merged).emit();
   return true;
 }
 

@@ -286,6 +286,31 @@ TEST(DriverTest, DiskCacheRoundTripsAcrossDrivers) {
   (void)std::system(Cmd.c_str());
 }
 
+TEST(DriverTest, NestedCacheDirIsCreatedWhole) {
+  // None of a/b/cache exists yet: the first store must create the whole
+  // path, not just its last component, or every write fails.
+  std::string Dir = makeTempDir();
+  ASSERT_FALSE(Dir.empty());
+  std::string Nested = Dir + "/a/b/cache";
+
+  {
+    Driver Writer(Nested, /*Threads=*/1);
+    OutcomePtr Run = Writer.run(makePlan("130.li", prof::Mode::Flow));
+    ASSERT_TRUE(Run && Run->Result.Ok);
+    EXPECT_EQ(Writer.cache().stats().Stores, 1u);
+    EXPECT_EQ(Writer.cache().stats().WriteFailures, 0u);
+  }
+
+  Driver Reader(Nested, /*Threads=*/1);
+  OutcomePtr Restored = Reader.run(makePlan("130.li", prof::Mode::Flow));
+  ASSERT_TRUE(Restored && Restored->Result.Ok);
+  EXPECT_EQ(Reader.scheduler().runsExecuted(), 0u);
+  EXPECT_EQ(Reader.cache().stats().DiskHits, 1u);
+
+  std::string Cmd = "rm -rf " + Dir;
+  (void)std::system(Cmd.c_str());
+}
+
 TEST(OutcomeIOTest, RejectsMismatchedFingerprint) {
   Driver D(/*DiskDir=*/"", /*Threads=*/1);
   OutcomePtr Run = D.run(makePlan("130.li", prof::Mode::Flow));

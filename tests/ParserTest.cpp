@@ -129,6 +129,34 @@ TEST(Parser, ReportsDuplicateFunction) {
   EXPECT_NE(Parsed.Error.find("duplicate"), std::string::npos);
 }
 
+TEST(Parser, RejectsTwoInstructionsOnOneLine) {
+  // Dropping the trailing 'ret' would leave the block without a
+  // terminator, which every later pass asserts on.
+  ParseResult Parsed = parseModule("func @main(0) regs=1 {\nentry:\n"
+                                   "  mov r0, 1   ret r0\n}\nmain @main\n");
+  EXPECT_FALSE(Parsed.ok());
+  EXPECT_NE(Parsed.Error.find("line 3"), std::string::npos) << Parsed.Error;
+  EXPECT_NE(Parsed.Error.find("'ret r0' after the instruction"),
+            std::string::npos)
+      << Parsed.Error;
+}
+
+TEST(Parser, RejectsBlockWithoutTerminator) {
+  ParseResult Parsed = parseModule("func @main(0) regs=1 {\nentry:\n"
+                                   "  mov r0, 1\nnext:\n  ret r0\n}\n"
+                                   "main @main\n");
+  EXPECT_FALSE(Parsed.ok());
+  EXPECT_NE(Parsed.Error.find("line 4"), std::string::npos) << Parsed.Error;
+  EXPECT_NE(Parsed.Error.find("block 'entry' does not end in a terminator"),
+            std::string::npos)
+      << Parsed.Error;
+
+  // An empty block, and one cut off by the end of the input.
+  EXPECT_FALSE(parseModule("func @main(0) regs=1 {\nentry:\n}\n").ok());
+  EXPECT_FALSE(
+      parseModule("func @main(0) regs=1 {\nentry:\n  mov r0, 1\n").ok());
+}
+
 TEST(Parser, AbsoluteMemoryOperands) {
   ParseResult Parsed = parseModule(
       "func @main(0) regs=4 {\nentry:\n  mov r0, 7\n"
