@@ -24,6 +24,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Host.h"
+
 #include "collectd/Ingest.h"
 #include "collectd/Server.h"
 #include "collectd/Wire.h"
@@ -142,19 +144,6 @@ private:
   int Fd = -1;
   collectd::FrameDecoder Decoder;
 };
-
-/// The CPU model named in /proc/cpuinfo, or "unknown".
-std::string cpuModel() {
-  std::ifstream Info("/proc/cpuinfo");
-  std::string Line;
-  while (std::getline(Info, Line))
-    if (Line.rfind("model name", 0) == 0) {
-      size_t Colon = Line.find(':');
-      if (Colon != std::string::npos && Colon + 2 <= Line.size())
-        return Line.substr(Colon + 2);
-    }
-  return "unknown";
-}
 
 } // namespace
 
@@ -467,8 +456,7 @@ int main() {
                 "  \"wire_bytes_in\": %llu,\n"
                 "  \"wire_bytes_out\": %llu,\n"
                 "  \"wire_bit_identical\": true,\n"
-                "  \"host\": {\"cores\": %u, \"cpu\": \"%s\", "
-                "\"compiler\": \"%s\", \"build_type\": \"%s\"}\n}\n",
+                "  \"host\": %s\n}\n",
                 static_cast<unsigned long long>(NumClients),
                 static_cast<unsigned long long>(TotalUploads), UploadBytes,
                 static_cast<unsigned long long>(NumWindows), C.Threads,
@@ -477,8 +465,8 @@ int main() {
                 static_cast<unsigned long long>(NetStats.ConnectionsAccepted),
                 static_cast<unsigned long long>(NetStats.FramesIn),
                 static_cast<unsigned long long>(NetStats.BytesIn),
-                static_cast<unsigned long long>(NetStats.BytesOut), Cores,
-                cpuModel().c_str(), PP_COMPILER, PP_BUILD_TYPE);
+                static_cast<unsigned long long>(NetStats.BytesOut),
+                bench::hostJson().c_str());
   Json << Buf;
   std::printf("\nwrote BENCH_collectd.json (%.0f artifacts/s in process, "
               "%.0f artifacts/s over the wire, wire query p99 %.2f ms)\n",

@@ -43,11 +43,22 @@ public:
   PP_ALWAYS_INLINE void beginInst(uint64_t Addr) {
     Counters.count(Event::Insts, 1);
     Counters.count(Event::Cycles, 1);
+    fetch(Addr);
+  }
+
+  /// The I-cache half of beginInst: probes the line holding \p Addr and
+  /// charges a miss. An engine that batches the issue half calls this,
+  /// then chargeInsts for the instructions it retired.
+  PP_ALWAYS_INLINE void fetch(uint64_t Addr) {
     if (ICache.access(Addr, 4)) {
       Counters.count(Event::ICacheMiss, 1);
       Counters.count(Event::Cycles, Cost.ICacheMissPenalty);
     }
   }
+
+  /// Masks a code address down to its I-cache line: fetches with equal
+  /// masked addresses hit the same line.
+  uint64_t fetchLineMask() const { return ~(ICache.config().LineBytes - 1); }
 
   /// Counted data read. A line-straddling access that misses both touched
   /// lines counts (and pays for) both misses.

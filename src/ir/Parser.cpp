@@ -5,6 +5,7 @@
 #include "ir/Module.h"
 #include "support/Format.h"
 
+#include <array>
 #include <cctype>
 #include <cstring>
 #include <map>
@@ -104,6 +105,48 @@ private:
 
   // --- Pass 1: declarations ---------------------------------------------------
 
+  /// The hex initializer of global \p Name (\p Size bytes): two digits per
+  /// byte, at most Size bytes.
+  bool parseInit(Cursor &C, size_t LineNo, const std::string &Name,
+                 int64_t Size, std::vector<uint8_t> &Init) {
+    static constexpr std::array<int8_t, 256> HexValue = [] {
+      std::array<int8_t, 256> Table{};
+      Table.fill(-1);
+      for (int Digit = 0; Digit != 10; ++Digit)
+        Table['0' + Digit] = static_cast<int8_t>(Digit);
+      for (int Digit = 0; Digit != 6; ++Digit)
+        Table['a' + Digit] = Table['A' + Digit] =
+            static_cast<int8_t>(10 + Digit);
+      return Table;
+    }();
+    C.skipSpace();
+    size_t End = C.Pos;
+    while (End != C.Text.size() &&
+           HexValue[static_cast<uint8_t>(C.Text[End])] >= 0)
+      ++End;
+    if (End != C.Text.size() && !std::isspace((unsigned char)C.Text[End]))
+      return fail(LineNo, "bad hex digit in initializer of global '@" +
+                              Name + "'");
+    size_t Digits = End - C.Pos;
+    if (Digits == 0 || Digits % 2 != 0)
+      return fail(LineNo, "initializer of global '@" + Name +
+                              "' needs two hex digits per byte");
+    if (Digits / 2 > static_cast<uint64_t>(Size))
+      return fail(LineNo,
+                  formatString("initializer of global '@%s' has %zu bytes, "
+                               "more than its size %lld",
+                               Name.c_str(), Digits / 2, (long long)Size));
+    Init.resize(Digits / 2);
+    const char *Hex = C.Text.data() + C.Pos;
+    for (size_t Index = 0; Index != Init.size(); ++Index) {
+      int High = HexValue[static_cast<uint8_t>(Hex[2 * Index])];
+      int Low = HexValue[static_cast<uint8_t>(Hex[2 * Index + 1])];
+      Init[Index] = static_cast<uint8_t>(High << 4 | Low);
+    }
+    C.Pos = End;
+    return true;
+  }
+
   /// Creates globals, functions, and their blocks so pass 2 can resolve
   /// forward references.
   bool scanDeclarations() {
@@ -119,7 +162,12 @@ private:
         int64_t Size;
         if (Name.empty() || !C.integer(Size) || Size <= 0)
           return fail(LineNo, "expected 'global @name size'");
-        M->addGlobal(Name, static_cast<uint64_t>(Size));
+        std::vector<uint8_t> Init;
+        if (C.eatWord("init") && !parseInit(C, LineNo, Name, Size, Init))
+          return false;
+        if (!C.atEnd())
+          return fail(LineNo, "unexpected text after global '@" + Name + "'");
+        M->addGlobal(Name, static_cast<uint64_t>(Size), std::move(Init));
         continue;
       }
       if (C.eatWord("func")) {

@@ -136,8 +136,21 @@ std::string ir::printModule(const Module &M) {
   std::string Out;
   for (size_t Index = 0; Index != M.numGlobals(); ++Index) {
     const Global &G = M.global(Index);
-    Out += formatString("global @%s %llu\n", G.Name.c_str(),
+    Out += formatString("global @%s %llu", G.Name.c_str(),
                         static_cast<unsigned long long>(G.Size));
+    if (!G.Init.empty()) {
+      // Initial contents as one hex string, two digits per byte; bytes
+      // past Init (up to Size) stay zero-filled.
+      static const char Digits[] = "0123456789abcdef";
+      Out += " init ";
+      size_t At = Out.size();
+      Out.resize(At + 2 * G.Init.size());
+      for (uint8_t Byte : G.Init) {
+        Out[At++] = Digits[Byte >> 4];
+        Out[At++] = Digits[Byte & 15];
+      }
+    }
+    Out += "\n";
   }
   if (!Out.empty())
     Out += "\n";

@@ -48,6 +48,28 @@ DOp fusedCmpBr(DOp Op) {
   }
 }
 
+/// The DecodedFunction::StaysInStream proof for \p DF.
+bool streamStaysInBounds(const DecodedFunction &DF) {
+  const std::vector<DecodedInst> &S = DF.Stream;
+  if (S.empty() || !ir::isTerminator(DF.Extras.back().Src->Op))
+    return false;
+  for (const DecodedInst &D : S) {
+    bool Ok = true;
+    if (D.Op == DOp::Br)
+      Ok = D.T1 < S.size();
+    else if (D.Op == DOp::CondBr)
+      Ok = D.T1 < S.size() && D.T2 < S.size();
+    else if (D.Op == DOp::Switch) {
+      Ok = D.T1 < S.size();
+      for (uint32_t Index = 0; Ok && Index != D.NTargets; ++Index)
+        Ok = DF.SwitchPool[D.T2 + Index] < S.size();
+    }
+    if (!Ok)
+      return false;
+  }
+  return true;
+}
+
 } // namespace
 
 void Predecoder::decodeFunction(ir::Function &F, ProfRuntime *RT,
@@ -234,6 +256,8 @@ void Predecoder::decodeFunction(ir::Function &F, ProfRuntime *RT,
       Out.Extras.push_back(E);
     }
   }
+
+  Out.StaysInStream = streamStaysInBounds(Out);
 
   // Fusion pass: a compare feeding the immediately following CondBr
   // becomes one superinstruction. The CondBr keeps its slot (so branch

@@ -161,6 +161,14 @@ struct DecodedFunction {
   std::vector<DecodedExtra> Extras;
   /// Flattened Switch target offsets (DecodedInst::T2 indexes here).
   std::vector<uint32_t> SwitchPool;
+  /// True when execution can never leave the stream: it is non-empty, its
+  /// last instruction is a terminator, and every branch, CondBr and switch
+  /// target is an offset inside it. Every other way the engine moves D
+  /// (falling through a non-terminator, resuming after a call or setjmp,
+  /// resuming an interrupted instruction, the fused branch half) lands on
+  /// an index that already exists, so this proves once per function what
+  /// a per-instruction bounds check would test every time.
+  bool StaysInStream = false;
 };
 
 /// Decodes a whole module. Runs after layout (instruction addresses must

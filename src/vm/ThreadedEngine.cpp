@@ -1,10 +1,25 @@
 //===- vm/ThreadedEngine.cpp - Predecoded threaded-dispatch engine -----------===//
 //
 // The threaded execution engine: runs the Predecoder's flat DecodedInst
-// streams with computed-goto dispatch on GCC/Clang (each handler ends in
-// its own indirect branch, so the host branch predictor learns per-opcode
-// successor patterns) and a portable switch loop elsewhere (or when
-// PP_VM_NO_COMPUTED_GOTO is defined).
+// streams with computed-goto dispatch on GCC/Clang and a portable switch
+// loop elsewhere (or when PP_VM_NO_COMPUTED_GOTO is defined).
+//
+// In the source every handler ends with its own copy of the fetch
+// prologue and its own jump through the label table. The compiler does
+// not keep the copies apart: GCC 12 at -O2 merges the identical tails, so
+// the hook-free and hooked instantiations below have 10 and 7 indirect
+// jumps, not one per handler, and the host predictor sees a few shared
+// dispatch sites.
+//
+// The body is a template on Hooks. runThreaded picks Hooks = false when no
+// signal handler, trap handler or tracer is installed, which is every
+// exact-instrumentation run. That instantiation has no signal, trap or
+// tracer checks, and its per-instruction path writes no Machine state in
+// the common case: it retires Insts/Cycles in batches (PP_SYNC) and
+// probes the I-cache only when the fetch changes lines (PP_ISSUE). The
+// Hooks = true instantiation charges the machine per instruction, as the
+// reference loop does. bench/vm_throughput measures the result against
+// the reference engine (BENCH_vm_throughput.json).
 //
 // Semantics are intentionally a line-for-line mirror of Vm::runReference:
 // the same Machine events in the same order, the same error strings on the
@@ -40,7 +55,10 @@ using namespace pp::vm;
 // program counter is the roaming stream pointer D itself; any handler
 // that pushes a frame must write D's index back to FR->InstIdx first
 // (Call/ICall/deliver_signal do), and this macro re-seeds D from the
-// frame that becomes current.
+// frame that becomes current. Entering a stream checks the Predecoder's
+// proof that no executed instruction can lie past its end (see
+// DecodedFunction::StaysInStream), which is what lets the per-instruction
+// path go without a bounds check.
 #define PP_SET_FRAME()                                                         \
   do {                                                                         \
     FR = &Frames.back();                                                       \
@@ -48,50 +66,79 @@ using namespace pp::vm;
     Rdy = FR->Ready.data();                                                    \
     Code = FR->DF->Stream.data();                                              \
     EX = FR->DF->Extras.data();                                                \
-    StreamLen = FR->DF->Stream.size();                                         \
-    (void)StreamLen;                                                           \
+    assert(FR->DF->StaysInStream && "decoded stream can run off its end");     \
     D = Code + FR->InstIdx;                                                    \
   } while (0)
 
 // D's index in the current frame's stream (for frame sync and setjmp).
 #define PP_PC() (static_cast<size_t>(D - Code))
 
+// Batched retirement. The hook-free instantiation counts each instruction
+// only by decrementing BudgetLeft; its Insts and base-Cycles charge
+// reaches the machine's totals as ChargedLeft - BudgetLeft (ChargedLeft is
+// BudgetLeft at the last charge) at the next point that can observe them:
+// loads and FP ops through PP_NOW; stores, rdpic/wrpic, profiling hooks,
+// runtime callbacks and the end of the run through PP_SYNC. Everything
+// else the handlers charge is a pure addition to the totals, which
+// commutes with the deferred one. The hooked instantiation retires eagerly
+// in Machine::beginInst, so signal and trap delivery and every tracer
+// callback see exact totals, and both macros reduce to the plain machine
+// calls there.
+#define PP_SYNC()                                                              \
+  do {                                                                         \
+    if constexpr (!Hooks) {                                                    \
+      MC.chargeInsts(ChargedLeft - BudgetLeft);                                \
+      ChargedLeft = BudgetLeft;                                                \
+    }                                                                          \
+  } while (0)
+#define PP_NOW() (Hooks ? MC.now() : MC.now() + (ChargedLeft - BudgetLeft))
+
+// Fetch and issue of the instruction at D, then the budget check: the
+// reference loop's beginInst + ++ExecutedInsts > MaxInsts, with the
+// budget kept as a countdown (BudgetLeft = MaxInsts - instructions
+// issued, so the run is over when it would drop below zero). The
+// hook-free instantiation probes the I-cache only when the fetch moves to a new
+// line. That skip is exact: only this engine touches the I-cache during a
+// run, and CacheSim::access treats a repeat of its last line as a hit
+// that changes no replacement state.
+#define PP_ISSUE()                                                             \
+  do {                                                                         \
+    if constexpr (Hooks) {                                                     \
+      MC.beginInst(D->Addr);                                                   \
+    } else if ((D->Addr & FetchMask) != FetchLine) {                           \
+      FetchLine = D->Addr & FetchMask;                                         \
+      MC.fetch(D->Addr);                                                       \
+    }                                                                          \
+    if (BudgetLeft-- == 0)                                                     \
+      goto budget_exhausted;                                                   \
+  } while (0)
+
 // Per-instruction work shared by both dispatch flavours; mirrors the
-// reference loop's head: signal delivery, fetch, I-cache/issue accounting,
-// interval-timer tick, instruction budget. The countdown ticks before the
-// instruction executes rather than after (both engines agree): delivery
-// points are identical either way, since the counter decrements exactly
-// once per executed instruction between boundary checks. With no signal
-// handler installed (SigHandler is run-invariant) the signal work folds
-// to one never-taken register test; likewise the overflow-trap check
-// (TrapH run-invariant) vanishes when no trap handler is installed, and
-// otherwise costs one load+compare against the armed PIC's threshold.
+// reference loop's head: signal delivery, overflow-trap delivery, fetch,
+// issue accounting, instruction budget. The signal countdown ticks before
+// the instruction executes rather than after (both engines agree):
+// delivery points are identical either way, since the counter decrements
+// exactly once per executed instruction between boundary checks. Signal
+// and trap checks exist only in the hooked instantiation.
 #define PP_PROLOGUE()                                                          \
   do {                                                                         \
-    if (SigHandler && !InSignal) {                                             \
+    if (Hooks && SigHandler && !InSignal) {                                    \
       if (SignalCountdown == 0)                                                \
         goto deliver_signal;                                                   \
       --SignalCountdown;                                                       \
     }                                                                          \
-    if (TrapH && MC.counters().overflowPending()) {                            \
+    if (Hooks && TrapH && MC.counters().overflowPending()) {                   \
       FR->InstIdx = PP_PC();                                                   \
       deliverOverflowTrap(D->Addr);                                            \
     }                                                                          \
-    assert(PP_PC() < StreamLen && "ran off end of stream");                    \
-    MC.beginInst(D->Addr);                                                     \
-    if (++Executed > Budget)                                                   \
-      goto budget_exhausted;                                                   \
+    PP_ISSUE();                                                                \
   } while (0)
 
-// The computed-goto flavour is direct threading proper: every handler
-// ends by running the fetch prologue and dispatching through the
-// label-address table itself, so each of the ~64 indirect-branch sites
-// keys the host's predictor to the opcode that precedes it (per-opcode
-// successor patterns — the classic threaded-dispatch win over a single
-// shared switch site). Replication is affordable because the prologue's
-// cold paths (the cache tag/LRU walk behind Machine::beginInst) live out
-// of line; only a compare and two counter adds are copied per handler.
-// The portable flavour keeps one shared switch at the fetch label.
+// The computed-goto flavour writes every handler's tail as the fetch
+// prologue plus a jump through the label-address table (how many of those
+// tails survive as separate jumps is up to the compiler; see the file
+// header). The portable flavour keeps one shared switch at the fetch
+// label.
 #if PP_CGOTO
 #define PP_CASE(Name) H_##Name
 #define PP_DISPATCH()                                                          \
@@ -172,7 +219,7 @@ using namespace pp::vm;
     uint64_t ReadyAt = Rdy[D->A];                                              \
     if (!D->bIsImm())                                                            \
       ReadyAt = std::max(ReadyAt, Rdy[D->B]);                                  \
-    uint64_t Now = MC.now();                                              \
+    uint64_t Now = PP_NOW();                                                   \
     if (ReadyAt > Now)                                                         \
       MC.stall(hw::Event::FpStall, ReadyAt - Now);                        \
     double Lhs = std::bit_cast<double>(R[D->A]);                               \
@@ -182,11 +229,19 @@ using namespace pp::vm;
     (void)Rhs;                                                                 \
     uint64_t Latency = (LatencyExpr);                                          \
     R[D->Dst] = (ValueExpr);                                                   \
-    Rdy[D->Dst] = MC.now() + Latency;                                     \
+    Rdy[D->Dst] = PP_NOW() + Latency;                                          \
     PP_NEXT();                                                                 \
   }
 
 RunResult Vm::runThreaded() {
+  // Exact-instrumentation runs install none of the three hooks; they get
+  // the instantiation whose per-instruction path writes no Machine state.
+  if (SignalHandler || TrapHook || TracerHook)
+    return runThreadedImpl<true>();
+  return runThreadedImpl<false>();
+}
+
+template <bool Hooks> RunResult Vm::runThreadedImpl() {
   RunResult Result;
   ir::Function *Main = M.main();
   if (!Main) {
@@ -230,13 +285,17 @@ RunResult Vm::runThreaded() {
   uint64_t *Rdy = nullptr;
   const DecodedInst *Code = nullptr;
   const DecodedExtra *EX = nullptr;
-  size_t StreamLen = 0;
   const DecodedInst *D = nullptr;
-  uint64_t Executed = 0;
+  uint64_t BudgetLeft = MaxInsts;
+  uint64_t ChargedLeft = BudgetLeft;
+  // Line-aligned address of the last fetch; no code address is ~0.
+  uint32_t FetchLine = ~uint32_t(0);
+  const uint32_t FetchMask = static_cast<uint32_t>(Machine.fetchLineMask());
   uint64_t FusedCond = 0;
+  // Every test of a hook is written `Hooks && ...`: the hook-free
+  // instantiation knows all three are null, so those tests fold away.
   ir::Function *const SigHandler = SignalHandler;
   TrapHandler *const TrapH = TrapHook;
-  const uint64_t Budget = MaxInsts;
   Tracer *const TH = TracerHook;
   ProfRuntime *const RT = Runtime;
   hw::Machine &MC = Machine;
@@ -344,7 +403,7 @@ fetch:
       goto done;
     }
     R[D->Dst] = MC.load(Addr, D->size());
-    Rdy[D->Dst] = MC.now() + MC.cost().LoadLatency;
+    Rdy[D->Dst] = PP_NOW() + MC.cost().LoadLatency;
     PP_NEXT();
   }
   PP_CASE(LoadReg) : {
@@ -356,7 +415,7 @@ fetch:
       goto done;
     }
     R[D->Dst] = MC.load(Addr, D->size());
-    Rdy[D->Dst] = MC.now() + MC.cost().LoadLatency;
+    Rdy[D->Dst] = PP_NOW() + MC.cost().LoadLatency;
     PP_NEXT();
   }
   PP_CASE(StoreAbs) : {
@@ -367,8 +426,9 @@ fetch:
                                 FR->F->name().c_str()));
       goto done;
     }
+    PP_SYNC(); // the store buffer reads now()
     MC.store(Addr, D->size(),
-                  D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B]);
+             D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B]);
     PP_NEXT();
   }
   PP_CASE(StoreReg) : {
@@ -379,18 +439,23 @@ fetch:
                                 FR->F->name().c_str()));
       goto done;
     }
+    PP_SYNC(); // the store buffer reads now()
     MC.store(Addr, D->size(),
-                  D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B]);
+             D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B]);
     PP_NEXT();
   }
   PP_CASE(Alloc) : {
-    R[D->Dst] =
-        heapAlloc(D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B]);
+    uint64_t Addr;
+    if (!heapAlloc(Result,
+                   D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B],
+                   Addr))
+      goto done;
+    R[D->Dst] = Addr;
     PP_NEXT();
   }
 
   PP_CASE(Br) : {
-    if (TH)
+    if (Hooks && TH)
       TH->onEdgeTaken(*EX[PP_PC()].From, 0);
     D = Code + D->T1;
     PP_FETCH();
@@ -398,7 +463,7 @@ fetch:
   PP_CASE(CondBr) : {
     bool Taken = R[D->A] != 0;
     MC.condBranch(D->Addr, Taken);
-    if (TH)
+    if (Hooks && TH)
       TH->onEdgeTaken(*EX[PP_PC()].From, Taken ? 0 : 1);
     D = Code + (Taken ? D->T1 : D->T2);
     PP_FETCH();
@@ -415,21 +480,21 @@ fetch:
       SuccIndex = 0;
     }
     MC.indirectBranch(D->Addr, Code[Target].Addr);
-    if (TH)
+    if (Hooks && TH)
       TH->onEdgeTaken(*EX[PP_PC()].From, SuccIndex);
     D = Code + Target;
     PP_FETCH();
   }
   PP_CASE(Ret) : {
     uint64_t Value = D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B];
-    if (TH) {
+    if (Hooks && TH) {
       TH->onEdgeTaken(*EX[PP_PC()].From, -1);
       TH->onExitFunction(*FR->F);
     }
     ir::Reg Dst = FR->RetDst;
     bool WasSignal = FR->IsSignal;
     recycleFrame();
-    if (WasSignal) {
+    if (Hooks && WasSignal) {
       // Resume the interrupted instruction stream exactly where it was:
       // the interrupted frame's InstIdx was synced at delivery, so
       // PP_SET_FRAME restores the pre-signal PC unadvanced.
@@ -457,7 +522,7 @@ fetch:
       fail(Result, "call stack overflow (runaway recursion)");
       goto done;
     }
-    if (TH) {
+    if (Hooks && TH) {
       TH->onCall(*FR->F, *X.Src, *Callee);
       TH->onEnterFunction(*Callee);
     }
@@ -489,7 +554,7 @@ fetch:
       fail(Result, "call stack overflow (runaway recursion)");
       goto done;
     }
-    if (TH) {
+    if (Hooks && TH) {
       TH->onCall(*FR->F, *X.Src, *Callee);
       TH->onEnterFunction(*Callee);
     }
@@ -521,7 +586,8 @@ fetch:
       goto done;
     }
     uint64_t Value = D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B];
-    if (TH)
+    PP_SYNC(); // onFrameUnwound may read the counters
+    if (Hooks && TH)
       TH->onEdgeTaken(*EX[PP_PC()].From, -1);
     // Unwind every frame above the target without returning through it.
     while (Frames.size() - 1 > Buf.FrameIndex) {
@@ -529,10 +595,10 @@ fetch:
       bool DeadWasSignal = Frames.back().IsSignal;
       if (RT)
         RT->onFrameUnwound(*this, Dead);
-      if (TH)
+      if (Hooks && TH)
         TH->onUnwindFunction(Dead);
       recycleFrame();
-      if (DeadWasSignal) {
+      if (Hooks && DeadWasSignal) {
         InSignal = false;
         if (RT)
           RT->onSignalReturn(*this);
@@ -545,10 +611,12 @@ fetch:
   }
 
   PP_CASE(RdPic) : {
+    PP_SYNC();
     R[D->Dst] = MC.counters().readPics();
     PP_NEXT();
   }
   PP_CASE(WrPic) : {
+    PP_SYNC();
     MC.counters().writePics(
         D->bIsImm() ? static_cast<uint64_t>(D->Imm) : R[D->B]);
     PP_NEXT();
@@ -556,6 +624,7 @@ fetch:
 
   PP_CASE(Prof) : {
     const DecodedExtra &X = EX[PP_PC()];
+    PP_SYNC(); // hooks read the PICs and charge the machine
     X.Hook(*RT, *this, *X.Src);
     PP_NEXT();
   }
@@ -585,13 +654,10 @@ fused_br : {
   // disabled whenever either handler is installed.
   assert(!SigHandler && !TrapH && "fused ops require no async handlers");
   ++D;
-  assert(PP_PC() < StreamLen && "ran off end of stream");
-  MC.beginInst(D->Addr);
-  if (++Executed > Budget)
-    goto budget_exhausted;
+  PP_ISSUE();
   bool Taken = FusedCond != 0;
   MC.condBranch(D->Addr, Taken);
-  if (TH)
+  if (Hooks && TH)
     TH->onEdgeTaken(*EX[PP_PC()].From, Taken ? 0 : 1);
   D = Code + (Taken ? D->T1 : D->T2);
   PP_FETCH();
@@ -606,7 +672,7 @@ deliver_signal : {
   InSignal = true;
   if (RT)
     RT->onSignalDeliver(*this);
-  if (TH)
+  if (Hooks && TH)
     TH->onEnterFunction(*SigHandler);
   FR->InstIdx = PP_PC(); // Ret from the handler resumes here, unadvanced
   Frame HandlerFrame;
@@ -628,6 +694,8 @@ budget_exhausted:
   fail(Result, "instruction budget exhausted (likely an infinite loop)");
 
 done:
-  Result.ExecutedInsts = Executed;
+  PP_SYNC();
+  // Modulo 2^64, so a run stopped by the budget reports MaxInsts + 1.
+  Result.ExecutedInsts = MaxInsts - BudgetLeft;
   return Result;
 }

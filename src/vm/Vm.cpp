@@ -111,12 +111,23 @@ void Vm::setReg(ir::Reg R, uint64_t Value) {
   Frames.back().Regs[R] = Value;
 }
 
-uint64_t Vm::heapAlloc(uint64_t Size) {
-  uint64_t Addr = (HeapNext + 15) & ~uint64_t(15);
-  HeapNext = Addr + Size;
-  if (HeapNext >= layout::CctHeapBase)
-    reportFatalError("simulated program heap exhausted");
-  return Addr;
+bool Vm::heapAlloc(RunResult &Result, uint64_t Size, uint64_t &Addr) {
+  // HeapNext stays below the 16-aligned CctHeapBase, so neither the
+  // rounding nor the subtraction can wrap; comparing against the room left
+  // (rather than adding Size) keeps a huge or negative size from wrapping
+  // HeapNext.
+  uint64_t Start = (HeapNext + 15) & ~uint64_t(15);
+  if (Size >= layout::CctHeapBase - Start) {
+    fail(Result,
+         formatString("simulated program heap exhausted: alloc of %llu "
+                      "bytes in %s",
+                      (unsigned long long)Size,
+                      Frames.back().F->name().c_str()));
+    return false;
+  }
+  HeapNext = Start + Size;
+  Addr = Start;
+  return true;
 }
 
 void Vm::fail(RunResult &Result, const std::string &Message) {
@@ -373,9 +384,13 @@ RunResult Vm::runReference() {
       Machine.store(Addr, I.Size, operandB(FR, I));
       break;
     }
-    case Opcode::Alloc:
-      FR.Regs[I.Dst] = heapAlloc(operandB(FR, I));
+    case Opcode::Alloc: {
+      uint64_t Addr;
+      if (!heapAlloc(Result, operandB(FR, I), Addr))
+        continue;
+      FR.Regs[I.Dst] = Addr;
       break;
+    }
 
     case Opcode::Br:
       takeEdge(FR, *FR.BB, 0, I.T1);

@@ -172,8 +172,10 @@ public:
   uint64_t reg(ir::Reg R) const;
   void setReg(ir::Reg R, uint64_t Value);
 
-  /// Bump-allocates in the simulated program heap.
-  uint64_t heapAlloc(uint64_t Size);
+  /// Bump-allocates \p Size bytes of simulated program heap into \p Addr.
+  /// When the heap cannot hold them, fails \p Result with the error both
+  /// engines report and returns false; the heap is left unchanged.
+  bool heapAlloc(RunResult &Result, uint64_t Size, uint64_t &Addr);
 
   /// Entry code address of \p F (the paper's procedure identifier).
   uint64_t functionEntryAddr(const ir::Function &F) const {
@@ -212,6 +214,10 @@ private:
   /// The two engine bodies behind run().
   RunResult runReference();
   RunResult runThreaded();
+  /// The threaded engine's body. runThreaded picks Hooks = false when no
+  /// signal handler, trap handler or tracer is installed: that
+  /// instantiation drops their checks and batches instruction retirement.
+  template <bool Hooks> RunResult runThreadedImpl();
   void fail(RunResult &Result, const std::string &Message);
   uint64_t operandB(const Frame &FR, const ir::Inst &I) const {
     return I.BIsImm ? static_cast<uint64_t>(I.Imm) : FR.Regs[I.B];

@@ -6,7 +6,10 @@
 // CCT — must be bit-identical between the reference interpreter and the
 // predecoded threaded engine, for every profiling mode, over a wide sweep
 // of random programs that exercise recursion, indirect calls, switches,
-// the FP scoreboard, setjmp/longjmp unwinding, and signal delivery.
+// the FP scoreboard, setjmp/longjmp unwinding, and signal delivery. The
+// sweep runs once with a signal handler (the engine's hooked
+// instantiation) and once without (the hook-free one, with batched
+// retirement and fused compare+branch).
 //
 // $PP_ENGINE_EQ_SEEDS widens the sweep (default: 64 seeds).
 //
@@ -180,6 +183,79 @@ TEST_P(EngineEquivalenceTest, BudgetExhaustionIsIdentical) {
   EXPECT_EQ(Ref.ExecutedInsts, Thr.ExecutedInsts);
   EXPECT_FALSE(Ref.Ok);
   EXPECT_EQ(Ref.Error, "instruction budget exhausted (likely an infinite loop)");
+}
+
+// The hook-free leg: no signal handler, trap handler or tracer, so the
+// threaded engine runs the instantiation that batches instruction
+// retirement and filters I-cache fetches by line, with compare+branch
+// fusion on. Every mode runs to completion and again with half that many
+// instructions of budget, under the default caches and under the small
+// direct-mapped I-cache that makes nearly every line change a miss.
+TEST_P(EngineEquivalenceTest, HookFreeAllModesBitIdentical) {
+  auto M = testutil::makeRandomProgram(GetParam(), fullCoverage());
+  hw::MachineConfig SmallICache;
+  SmallICache.ICache = hw::CacheConfig{256, 64, 1};
+
+  for (const hw::MachineConfig &Cfg : {hw::MachineConfig(), SmallICache}) {
+    for (Mode Md : AllModes) {
+      prof::SessionOptions Options;
+      Options.Config.M = Md;
+      Options.MachineCfg = Cfg;
+      std::string Label = std::string("mode=") + prof::modeName(Md) +
+                          " icache=" + std::to_string(Cfg.ICache.SizeBytes) +
+                          " seed=" + std::to_string(GetParam());
+
+      Options.Engine = vm::Engine::Reference;
+      prof::RunOutcome Ref = prof::runProfile(*M, Options);
+      Options.Engine = vm::Engine::Threaded;
+      prof::RunOutcome Thr = prof::runProfile(*M, Options);
+      EXPECT_TRUE(Ref.Result.Ok) << Label << ": " << Ref.Result.Error;
+      expectSameOutcome(Ref, Thr, Label);
+
+      Options.MaxInsts = Ref.Result.ExecutedInsts / 2;
+      Options.Engine = vm::Engine::Reference;
+      prof::RunOutcome RefCut = prof::runProfile(*M, Options);
+      Options.Engine = vm::Engine::Threaded;
+      prof::RunOutcome ThrCut = prof::runProfile(*M, Options);
+      EXPECT_EQ(RefCut.Result.Error,
+                "instruction budget exhausted (likely an infinite loop)")
+          << Label;
+      expectSameOutcome(RefCut, ThrCut, Label + " budget=half");
+    }
+  }
+}
+
+// Heap exhaustion fails the run on the same dynamic instruction with the
+// same error and the same machine state on both engines, whatever runtime
+// hooks the mode brings along.
+TEST(EngineEquivalence, HeapExhaustionIsIdentical) {
+  // main: allocate 1 MiB chunks, touching each, until the heap runs out.
+  ir::Module M;
+  ir::Function *Main = M.addFunction("main", 0);
+  ir::IRBuilder IRB(Main, Main->addBlock("entry"));
+  ir::BasicBlock *Loop = Main->addBlock("loop");
+  IRB.br(Loop);
+  IRB.setBlock(Loop);
+  ir::Reg P = IRB.allocImm(1 << 20);
+  IRB.store(P, 0, P);
+  IRB.br(Loop);
+  M.setMain(Main);
+  ir::verifyModuleOrDie(M);
+
+  for (Mode Md : AllModes) {
+    prof::SessionOptions Options;
+    Options.Config.M = Md;
+    Options.Engine = vm::Engine::Reference;
+    prof::RunOutcome Ref = prof::runProfile(M, Options);
+    Options.Engine = vm::Engine::Threaded;
+    prof::RunOutcome Thr = prof::runProfile(M, Options);
+    std::string Label = std::string("mode=") + prof::modeName(Md);
+    EXPECT_FALSE(Ref.Result.Ok) << Label;
+    EXPECT_EQ(Ref.Result.Error, "simulated program heap exhausted: alloc of "
+                                "1048576 bytes in main")
+        << Label;
+    expectSameOutcome(Ref, Thr, Label);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -169,3 +169,82 @@ TEST(Parser, AbsoluteMemoryOperands) {
   ASSERT_TRUE(Run.Result.Ok);
   EXPECT_EQ(Run.Result.ExitValue, 7u);
 }
+
+// Global initial contents survive print -> parse for every workload: the
+// parsed module holds the same Init bytes, re-prints identically, and runs
+// to the same result and event totals as the module it was printed from.
+TEST(Parser, RoundTripsGlobalInitializersOfEveryWorkload) {
+  prof::SessionOptions Options;
+  Options.Config.M = prof::Mode::None;
+  size_t WorkloadsWithInit = 0;
+  for (const workloads::WorkloadSpec &Spec : workloads::spec95Suite()) {
+    SCOPED_TRACE(Spec.Name);
+    auto Built = workloads::buildWorkload(Spec.Name, 1);
+    ASSERT_TRUE(Built);
+    std::string Text = printModule(*Built);
+    ParseResult Parsed = parseModule(Text);
+    ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
+    EXPECT_EQ(printModule(*Parsed.M), Text);
+
+    ASSERT_EQ(Parsed.M->numGlobals(), Built->numGlobals());
+    bool HasInit = false;
+    for (size_t Index = 0; Index != Built->numGlobals(); ++Index) {
+      const Global &A = Built->global(Index);
+      const Global &B = Parsed.M->global(Index);
+      EXPECT_EQ(A.Name, B.Name);
+      EXPECT_EQ(A.Size, B.Size);
+      EXPECT_EQ(A.Addr, B.Addr);
+      EXPECT_EQ(A.Init, B.Init) << "global @" << A.Name;
+      HasInit |= !A.Init.empty();
+    }
+    WorkloadsWithInit += HasInit;
+
+    prof::RunOutcome Original = prof::runProfile(*Built, Options);
+    prof::RunOutcome Reparsed = prof::runProfile(*Parsed.M, Options);
+    ASSERT_TRUE(Original.Result.Ok) << Original.Result.Error;
+    EXPECT_EQ(Reparsed.Result.Ok, Original.Result.Ok);
+    EXPECT_EQ(Reparsed.Result.Error, Original.Result.Error);
+    EXPECT_EQ(Reparsed.Result.ExitValue, Original.Result.ExitValue);
+    EXPECT_EQ(Reparsed.Result.ExecutedInsts, Original.Result.ExecutedInsts);
+    EXPECT_EQ(Reparsed.Totals, Original.Totals);
+  }
+  // The property is only tested if some workloads carry initial data.
+  EXPECT_GT(WorkloadsWithInit, 0u);
+}
+
+TEST(Parser, ParsesGlobalInitializer) {
+  ParseResult Parsed = parseModule("global @tab 8 init 0a0B00ff\n"
+                                   "func @main(0) regs=2 {\nentry:\n"
+                                   "  load4 r0, [_ + 268435456]\n  ret r0\n}\n"
+                                   "main @main\n");
+  ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
+  EXPECT_EQ(Parsed.M->global(0).Init,
+            (std::vector<uint8_t>{0x0a, 0x0b, 0x00, 0xff}));
+  EXPECT_EQ(Parsed.M->global(0).Size, 8u);
+  prof::SessionOptions Options;
+  Options.Config.M = prof::Mode::None;
+  prof::RunOutcome Run = prof::runProfile(*Parsed.M, Options);
+  ASSERT_TRUE(Run.Result.Ok) << Run.Result.Error;
+  EXPECT_EQ(Run.Result.ExitValue, 0xff000b0au);
+}
+
+TEST(Parser, RejectsMalformedGlobalInitializer) {
+  auto ErrorOf = [](const char *Global) {
+    ParseResult Parsed = parseModule(std::string(Global) +
+                                     "\nfunc @main(0) regs=1 {\nentry:\n"
+                                     "  ret 0\n}\nmain @main\n");
+    EXPECT_FALSE(Parsed.ok()) << Global;
+    return Parsed.Error;
+  };
+  EXPECT_EQ(ErrorOf("global @g 4 init 0g"),
+            "line 1: bad hex digit in initializer of global '@g'");
+  EXPECT_EQ(ErrorOf("global @g 4 init 012"),
+            "line 1: initializer of global '@g' needs two hex digits per byte");
+  EXPECT_EQ(ErrorOf("global @g 4 init"),
+            "line 1: initializer of global '@g' needs two hex digits per byte");
+  EXPECT_EQ(ErrorOf("global @g 2 init 000102"),
+            "line 1: initializer of global '@g' has 3 bytes, more than its "
+            "size 2");
+  EXPECT_EQ(ErrorOf("global @g 2 init 0001 00"),
+            "line 1: unexpected text after global '@g'");
+}

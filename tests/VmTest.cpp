@@ -1,6 +1,7 @@
 //===- tests/VmTest.cpp - interpreter semantics --------------------------------===//
 
 #include "ir/IRBuilder.h"
+#include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "vm/Vm.h"
 #include "workloads/Examples.h"
@@ -351,3 +352,78 @@ TEST(Vm, RuntimeOpWithoutRuntimeFails) {
   vm::RunResult Result = runModule(M);
   EXPECT_FALSE(Result.Ok);
 }
+
+namespace {
+
+/// Heap exhaustion, once per engine: both must fail the run with the same
+/// error on the same dynamic instruction instead of aborting the process.
+class VmHeapTest : public ::testing::TestWithParam<vm::Engine> {
+protected:
+  vm::RunResult run(Module &M) {
+    hw::Machine Machine;
+    vm::Vm VM(M, Machine);
+    VM.setEngine(GetParam());
+    return VM.run();
+  }
+};
+
+} // namespace
+
+TEST_P(VmHeapTest, OversizedAllocFailsTheRun) {
+  ParseResult Parsed = parseModule("func @main(0) regs=8 {\n"
+                                   "entry:\n"
+                                   "  mov r0, 4611686018427387904\n"
+                                   "  alloc r1, r0\n"
+                                   "  ret r1\n"
+                                   "}\n"
+                                   "\n"
+                                   "main @main\n");
+  ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
+  vm::RunResult Result = run(*Parsed.M);
+  EXPECT_FALSE(Result.Ok);
+  EXPECT_EQ(Result.Error, "simulated program heap exhausted: alloc of "
+                          "4611686018427387904 bytes in main");
+  EXPECT_EQ(Result.ExecutedInsts, 2u); // the alloc is the failing one
+}
+
+TEST_P(VmHeapTest, NegativeAllocFailsInsteadOfWrapping) {
+  Module M;
+  Function *Main = M.addFunction("main", 0);
+  IRBuilder IRB(Main, Main->addBlock("entry"));
+  IRB.allocImm(64);
+  IRB.allocImm(-64);
+  IRB.allocImm(64);
+  IRB.retImm(0);
+  M.setMain(Main);
+  vm::RunResult Result = run(M);
+  EXPECT_FALSE(Result.Ok);
+  EXPECT_EQ(Result.Error, "simulated program heap exhausted: alloc of "
+                          "18446744073709551552 bytes in main");
+  EXPECT_EQ(Result.ExecutedInsts, 2u);
+}
+
+TEST_P(VmHeapTest, HeapFillsExactlyToItsLimit) {
+  // The heap spans [HeapBase, CctHeapBase): the largest single block it
+  // can serve is one byte short of the whole span.
+  const uint64_t Span = layout::CctHeapBase - layout::HeapBase;
+  for (uint64_t Size : {Span - 1, Span}) {
+    Module M;
+    Function *Main = M.addFunction("main", 0);
+    IRBuilder IRB(Main, Main->addBlock("entry"));
+    Reg P = IRB.allocImm(static_cast<int64_t>(Size));
+    IRB.ret(P);
+    M.setMain(Main);
+    vm::RunResult Result = run(M);
+    EXPECT_EQ(Result.Ok, Size < Span) << Size << ": " << Result.Error;
+    if (Result.Ok) {
+      EXPECT_EQ(Result.ExitValue, layout::HeapBase);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, VmHeapTest,
+                         ::testing::Values(vm::Engine::Reference,
+                                           vm::Engine::Threaded),
+                         [](const auto &Info) {
+                           return std::string(vm::engineName(Info.param));
+                         });
