@@ -1,16 +1,13 @@
 //===- cct/ImageIO.h - TreeImage binary codec ------------------*- C++ -*-===//
 ///
 /// \file
-/// The binary encoding of a full-fidelity cct::TreeImage, shared by the
-/// driver's on-disk run cache (driver/OutcomeIO) and the profdb profile
-/// artifacts. The byte layout is exactly what OutcomeIO version 2 has
-/// always written for the embedded tree, so cache files and artifacts can
-/// share one decoder.
+/// The binary encoding of a full-fidelity cct::TreeImage, embedded in
+/// every profdb profile artifact (and so in every run cache entry).
 ///
-/// The reader is bounds-checked in the OutcomeIO style: every count is
-/// validated against the bytes remaining, and decoded geometry is held
-/// under sanity ceilings before it reaches the CCT allocator (which
-/// treats exhaustion as fatal).
+/// The reader is bounds-checked: every count is validated against the
+/// bytes remaining, and decoded geometry is held under sanity ceilings
+/// before it reaches the CCT allocator (which treats exhaustion as
+/// fatal).
 ///
 //===----------------------------------------------------------------------===//
 

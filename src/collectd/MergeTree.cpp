@@ -14,8 +14,10 @@ bool MergeTree::add(profdb::Artifact A, std::string &Error) {
   if (!profdb::MergeForm::lift(A, Leaf, Error))
     return false;
   if (!Leaves) {
-    // A window of one upload folds to that upload, byte for byte.
+    // A window of one upload folds to that upload, byte for byte, less
+    // any run section: folds hold profiles only.
     Cached = std::move(A);
+    Cached->Run.reset();
   } else if (Cached) {
     // The fold is held as an artifact; lift it back to overlay onto it.
     profdb::MergeForm Lifted;

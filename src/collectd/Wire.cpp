@@ -136,7 +136,8 @@ std::vector<uint8_t> collectd::encodeFrame(const Frame &F) {
 
   std::vector<uint8_t> Out;
   Out.reserve(WireHeaderBytes + Payload.Bytes.size() + WireTrailerBytes);
-  Out.insert(Out.end(), WireMagic, WireMagic + 4);
+  for (uint8_t Byte : WireMagic)
+    Out.push_back(Byte);
   Out.push_back(WireVersion);
   Out.push_back(static_cast<uint8_t>(F.Type));
   appendU32(Out, static_cast<uint32_t>(Payload.Bytes.size()));

@@ -36,12 +36,16 @@ Driver::~Driver() {
                  static_cast<unsigned long long>(Failed),
                  static_cast<unsigned long long>(C.DecodeFailures),
                  static_cast<unsigned long long>(C.WriteFailures));
-    for (unsigned Status = 0; Status != NumDecodeStatuses; ++Status)
+    for (unsigned Status = 0; Status != profdb::NumDecodeStatuses; ++Status)
       if (C.DecodeFailuresBy[Status])
         std::fprintf(stderr, "; %s: %llu",
-                     decodeStatusName(static_cast<DecodeStatus>(Status)),
+                     profdb::decodeStatusName(
+                         static_cast<profdb::DecodeStatus>(Status)),
                      static_cast<unsigned long long>(
                          C.DecodeFailuresBy[Status]));
+    if (C.FingerprintMismatches)
+      std::fprintf(stderr, "; fingerprint-mismatch: %llu",
+                   static_cast<unsigned long long>(C.FingerprintMismatches));
     std::fprintf(stderr, "\n");
   }
 }

@@ -3,17 +3,58 @@
 #include "driver/RunCache.h"
 
 #include "driver/FaultInjector.h"
-#include "driver/OutcomeIO.h"
 #include "obs/Obs.h"
+#include "prof/Acquisition.h"
 #include "profdb/Store.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <unistd.h>
 
 using namespace pp;
 using namespace pp::driver;
+
+namespace {
+
+/// What a disk entry holds beyond the run's deposit.
+profdb::RunSection runSectionOf(const prof::RunOutcome &Outcome) {
+  profdb::RunSection Run;
+  Run.Ok = Outcome.Result.Ok;
+  Run.ExitValue = Outcome.Result.ExitValue;
+  Run.Error = Outcome.Result.Error;
+  Run.EdgeProfiles = Outcome.EdgeProfiles;
+  Run.Instr = Outcome.Instr.Functions;
+  Run.Acq = Outcome.Acq;
+  return Run;
+}
+
+/// Moves a decoded disk entry, which has a run section, into a record.
+RecordPtr recordOf(profdb::Artifact &&A) {
+  auto Record = std::make_shared<RunRecord>();
+  profdb::RunSection &Run = *A.Run;
+  Record->Result.Ok = Run.Ok;
+  Record->Result.ExitValue = Run.ExitValue;
+  Record->Result.ExecutedInsts = A.ExecutedInsts;
+  Record->Result.Error = std::move(Run.Error);
+  Record->Totals = A.Totals;
+  Record->PathProfiles = std::move(A.PathProfiles);
+  Record->EdgeProfiles = std::move(Run.EdgeProfiles);
+  Record->Instr.Functions = std::move(Run.Instr);
+  Record->Tree = std::move(A.Tree);
+  Record->Acq = Run.Acq;
+  Record->Functions = std::move(A.Functions);
+  return Record;
+}
+
+} // namespace
+
+profdb::Artifact driver::runArtifact(const RunPlan &Plan, const RunKey &Key,
+                                     const RunRecord &Record) {
+  return profdb::artifactFromOutcome(
+      Record, Record.Functions, Key.Fingerprint, Plan.Workload,
+      static_cast<uint64_t>(Plan.Scale), Plan.Options.Config,
+      prof::acquisitionName(Plan.Options.Acq.Kind));
+}
 
 RunCache::RunCache(std::string DiskDir) : DiskDir(std::move(DiskDir)) {}
 
@@ -23,10 +64,10 @@ std::string RunCache::diskDirFromEnv() {
 }
 
 std::string RunCache::diskPath(const RunKey &Key) const {
-  return DiskDir + "/" + Key.fileStem() + ".ppo";
+  return DiskDir + "/" + profdb::artifactFileName(Key.Fingerprint);
 }
 
-OutcomePtr RunCache::lookup(const RunKey &Key) {
+RecordPtr RunCache::lookup(const RunKey &Key) {
   if (!Key.Cacheable)
     return nullptr;
   {
@@ -45,15 +86,20 @@ OutcomePtr RunCache::lookup(const RunKey &Key) {
     if (File) {
       std::vector<uint8_t> Bytes(std::istreambuf_iterator<char>(File), {});
       FaultInjector::instance().mutateCacheRead(Bytes);
-      auto Outcome = std::make_shared<prof::RunOutcome>();
-      DecodeStatus Status = decodeOutcome(Bytes, Key.Fingerprint, *Outcome);
-      if (Status == DecodeStatus::Ok) {
+      profdb::Artifact Entry;
+      profdb::DecodeStatus Status = profdb::decodeArtifact(Bytes, Entry);
+      if (Status == profdb::DecodeStatus::Ok && !Entry.Run)
+        Status = profdb::DecodeStatus::Malformed; // a deposit, not an entry
+      bool Mismatch = Status == profdb::DecodeStatus::Ok &&
+                      Entry.Fingerprint != Key.Fingerprint;
+      if (Status == profdb::DecodeStatus::Ok && !Mismatch) {
+        RecordPtr Record = recordOf(std::move(Entry));
         obs::add(obs::Counter::CacheDiskHits);
         std::lock_guard<std::mutex> Lock(Mu);
         ++Counts.DiskHits;
         // Another thread may have raced the file read; first one wins so
         // every consumer shares one object.
-        auto [It, Inserted] = Memory.emplace(Key.Fingerprint, Outcome);
+        auto [It, Inserted] = Memory.emplace(Key.Fingerprint, Record);
         return It->second;
       }
       // The file is unusable whatever the reason (stale version, torn
@@ -63,7 +109,10 @@ OutcomePtr RunCache::lookup(const RunKey &Key) {
       obs::add(obs::Counter::CacheCorruptEvictions);
       std::lock_guard<std::mutex> Lock(Mu);
       ++Counts.DecodeFailures;
-      ++Counts.DecodeFailuresBy[static_cast<unsigned>(Status)];
+      if (Mismatch)
+        ++Counts.FingerprintMismatches;
+      else
+        ++Counts.DecodeFailuresBy[static_cast<unsigned>(Status)];
     }
   }
 
@@ -73,12 +122,13 @@ OutcomePtr RunCache::lookup(const RunKey &Key) {
   return nullptr;
 }
 
-void RunCache::insert(const RunKey &Key, const OutcomePtr &Outcome) {
-  if (!Key.Cacheable || !Outcome)
+void RunCache::insert(const RunPlan &Plan, const RunKey &Key,
+                      const RecordPtr &Record) {
+  if (!Key.Cacheable || !Record)
     return;
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    if (!Memory.emplace(Key.Fingerprint, Outcome).second)
+    if (!Memory.emplace(Key.Fingerprint, Record).second)
       return; // already memoized (and, if configured, already on disk)
     ++Counts.Stores;
     obs::add(obs::Counter::CacheStores);
@@ -87,39 +137,21 @@ void RunCache::insert(const RunKey &Key, const OutcomePtr &Outcome) {
   // Failed runs stay memory-only: persisting them would make a transient
   // failure (an injected fault, a scheduler-synthesised error) permanent
   // for every later process sharing the cache directory.
-  if (DiskDir.empty() || !Outcome->Result.Ok)
+  if (DiskDir.empty() || !Record->Result.Ok)
     return;
-  if (FaultInjector::instance().shouldFailCacheWrite()) {
-    obs::add(obs::Counter::CacheWriteFailures);
-    std::lock_guard<std::mutex> Lock(Mu);
-    ++Counts.WriteFailures;
+  // writeArtifactFile creates the whole directory path (a nested
+  // PP_RUN_CACHE_DIR need not exist yet) and writes to a temp file
+  // renamed into place, so concurrent bench processes sharing the cache
+  // directory only ever observe complete files.
+  profdb::Artifact Entry = runArtifact(Plan, Key, *Record);
+  Entry.Run = runSectionOf(*Record);
+  std::string Error;
+  if (!FaultInjector::instance().shouldFailCacheWrite() &&
+      profdb::writeArtifactFile(diskPath(Key), Entry, Error))
     return;
-  }
-  // The whole path, mkdir -p style: a nested PP_RUN_CACHE_DIR whose
-  // parents do not exist yet must not fail every write. A real failure
-  // surfaces below as an unopenable temp file.
-  std::string DirError;
-  (void)profdb::makeDirs(DiskDir, DirError);
-  // Write-to-temp + rename, so concurrent bench processes sharing the
-  // cache directory only ever observe complete files.
-  std::vector<uint8_t> Bytes = serializeOutcome(*Outcome, Key.Fingerprint);
-  std::string Final = diskPath(Key);
-  std::string Temp =
-      Final + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  bool Written = false;
-  {
-    std::ofstream File(Temp, std::ios::binary | std::ios::trunc);
-    if (File) {
-      File.write(reinterpret_cast<const char *>(Bytes.data()),
-                 static_cast<std::streamsize>(Bytes.size()));
-      Written = File.good();
-    }
-  }
-  if (Written && std::rename(Temp.c_str(), Final.c_str()) == 0)
-    return;
-  // Cache directory not writable or short write; the memory layer still
-  // works, so degrade to uncached-on-disk instead of failing the run.
-  std::remove(Temp.c_str());
+  // Cache directory not writable, short write, or an injected fault; the
+  // memory layer still works, so degrade to uncached-on-disk instead of
+  // failing the run.
   obs::add(obs::Counter::CacheWriteFailures);
   std::lock_guard<std::mutex> Lock(Mu);
   ++Counts.WriteFailures;

@@ -78,16 +78,3 @@ RunKey RunKey::of(const RunPlan &Plan) {
     F += formatString(";k=%u", C.K);
   return Key;
 }
-
-uint64_t RunKey::hash() const {
-  uint64_t Hash = 0xcbf29ce484222325ULL;
-  for (char Ch : Fingerprint) {
-    Hash ^= static_cast<uint8_t>(Ch);
-    Hash *= 0x100000001b3ULL;
-  }
-  return Hash;
-}
-
-std::string RunKey::fileStem() const {
-  return formatString("pp-%016llx", (unsigned long long)hash());
-}

@@ -15,7 +15,6 @@
 
 #include "driver/RunPlan.h"
 
-#include <cstdint>
 #include <string>
 
 namespace pp {
@@ -32,11 +31,6 @@ struct RunKey {
 
   /// Fingerprints \p Plan.
   static RunKey of(const RunPlan &Plan);
-
-  /// FNV-1a hash of the fingerprint.
-  uint64_t hash() const;
-  /// Hex file stem ("pp-<hash>") for the on-disk cache.
-  std::string fileStem() const;
 
   bool operator==(const RunKey &Other) const {
     return Fingerprint == Other.Fingerprint;

@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace pp {
 namespace driver {
@@ -30,6 +31,15 @@ namespace driver {
 /// totals, path/edge profiles, instrumentation metadata, and the CCT — is
 /// reconstructed in full.
 using OutcomePtr = std::shared_ptr<const prof::RunOutcome>;
+
+/// What the run cache memoizes: an outcome plus the names of the
+/// functions the run executed, indexed by function id. The names are all
+/// a profile artifact needs beyond the outcome, so a record deposits
+/// without rebuilding its module.
+struct RunRecord : prof::RunOutcome {
+  std::vector<std::string> Functions;
+};
+using RecordPtr = std::shared_ptr<const RunRecord>;
 
 /// One declared run.
 struct RunPlan {

@@ -4,13 +4,10 @@
 
 #include "driver/FaultInjector.h"
 #include "driver/RunCache.h"
-#include "hw/Event.h"
 #include "obs/Obs.h"
-#include "prof/Acquisition.h"
 #include "prof/Mode.h"
 #include "profdb/Store.h"
 #include "support/Env.h"
-#include "support/Format.h"
 #include "workloads/Spec.h"
 
 #include <algorithm>
@@ -187,39 +184,23 @@ OutcomePtr RunScheduler::failedOutcome(std::string Error) {
 }
 
 void RunScheduler::maybeEmitArtifact(const RunPlan &Plan, const RunKey &Key,
-                                     const OutcomePtr &Outcome) {
+                                     const RunRecord &Record) {
   std::string Dir;
   {
     std::lock_guard<std::mutex> Lock(Mu);
     Dir = ProfileOutDir;
   }
-  if (Dir.empty() || !Outcome || !Outcome->Result.Ok)
+  if (Dir.empty() || !Record.Result.Ok)
     return;
   std::string Path = Dir + "/" + profdb::artifactFileName(Key.Fingerprint);
   struct stat St;
   if (::stat(Path.c_str(), &St) == 0)
     return; // the fingerprint names the content; an existing file is it
-  // The artifact carries function names, which live in the module, not
-  // the outcome — rebuild it (cache hits skipped the build entirely).
-  std::unique_ptr<ir::Module> M =
-      Plan.Build ? Plan.Build()
-                 : workloads::buildWorkload(Plan.Workload, Plan.Scale);
-  if (!M) {
-    std::fprintf(stderr,
-                 "pp-driver: warning: cannot rebuild workload '%s' for "
-                 "artifact emission\n",
-                 Plan.Workload.c_str());
-    return;
-  }
   obs::SpanScope Deposit("driver", "artifact_deposit",
                          Plan.Workload + "@" + std::to_string(Plan.Scale) +
                              "/" + prof::modeName(Plan.Options.Config.M));
-  profdb::Artifact A = profdb::artifactFromOutcome(
-      *Outcome, *M, Key.Fingerprint, Plan.Workload,
-      static_cast<uint64_t>(Plan.Scale), Plan.Options.Config,
-      prof::acquisitionName(Plan.Options.Acq.Kind));
   std::string Error;
-  if (!profdb::writeArtifactFile(Path, A, Error))
+  if (!profdb::writeArtifactFile(Path, runArtifact(Plan, Key, Record), Error))
     std::fprintf(stderr,
                  "pp-driver: warning: profile artifact not written: %s\n",
                  Error.c_str());
@@ -233,8 +214,8 @@ OutcomePtr RunScheduler::executePlan(const RunPlan &Plan, const RunKey &Key) {
 
   if (Cache) {
     obs::SpanScope Probe("driver", "cache_probe", Label);
-    if (OutcomePtr Hit = Cache->lookup(Key)) {
-      maybeEmitArtifact(Plan, Key, Hit);
+    if (RecordPtr Hit = Cache->lookup(Key)) {
+      maybeEmitArtifact(Plan, Key, *Hit);
       return Hit;
     }
   }
@@ -256,32 +237,17 @@ OutcomePtr RunScheduler::executePlan(const RunPlan &Plan, const RunKey &Key) {
   if (!M)
     return failedOutcome("unknown workload '" + Plan.Workload + "'");
 
-  prof::RunStager Stager(*M, Plan.Options);
-  {
-    obs::SpanScope S("driver", "instrument", Label);
-    Stager.instrument();
-  }
-  {
-    obs::SpanScope S("driver", "load", Label);
-    Stager.load();
-  }
-  OutcomePtr Outcome;
-  {
-    // Work = the run's simulated cycle total: deterministic for a given
-    // plan, and the dominant cost of the stage — it becomes the span's
-    // share of virtual time in the report.
-    obs::SpanScope S("driver", "execute", Label);
-    Stager.execute();
-    Outcome = std::make_shared<prof::RunOutcome>(Stager.extract());
-    S.setWork(Outcome->total(hw::Event::Cycles));
-  }
+  // prof records one span per stage (instrument, load, execute, extract).
+  auto Record = std::make_shared<RunRecord>();
+  static_cast<prof::RunOutcome &>(*Record) = prof::runProfile(*M, Plan.Options);
+  Record->Functions = profdb::functionNames(*M);
   obs::add(obs::Counter::SchedulerExecuted);
   {
     std::lock_guard<std::mutex> Lock(Mu);
     ++Executed;
   }
   if (Cache)
-    Cache->insert(Key, Outcome);
-  maybeEmitArtifact(Plan, Key, Outcome);
-  return Outcome;
+    Cache->insert(Plan, Key, Record);
+  maybeEmitArtifact(Plan, Key, *Record);
+  return Record;
 }

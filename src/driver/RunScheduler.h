@@ -93,12 +93,12 @@ private:
   void workerLoop();
   void executeTask(Task &T);
   OutcomePtr executePlan(const RunPlan &Plan, const RunKey &Key);
-  /// Deposits \p Outcome as a profile artifact when a profile-out
+  /// Deposits \p Record as a profile artifact when a profile-out
   /// directory is configured, the run succeeded, and the artifact is not
   /// already on disk. Emission failures warn on stderr; they never fail
   /// the run itself.
   void maybeEmitArtifact(const RunPlan &Plan, const RunKey &Key,
-                         const OutcomePtr &Outcome);
+                         const RunRecord &Record);
   /// A structured failure outcome (Ok = false, \p Error attached).
   static OutcomePtr failedOutcome(std::string Error);
 

@@ -16,12 +16,116 @@ namespace {
 constexpr uint64_t Magic = 0x50504442; // "PPDB"
 // 2: acquisition joined the schema; 3: k-BL (schema K, per-function KIters)
 constexpr uint64_t Version = 3;
+// Opens the optional run section after the CCT.
+constexpr uint64_t RunTag = 0x50505253; // "PPRS"
 
 // Minimum encoded sizes (bytes) of variable-count elements, used to bound
 // counts before allocation.
 constexpr size_t MinFunctionBytes = 8;               // name length
 constexpr size_t MinPathProfileBytes = 8 + 1 + 8 + 1 + 8 + 8;
 constexpr size_t MinPathEntryBytes = 4 * 8;
+constexpr size_t MinEdgeProfileBytes = 8 + 1 + 8 + 8;
+// 3 flag bytes + NumPaths, KIters, TableAddr, Stride, EdgeTableAddr,
+// chord count, NumSites, and the SiteIsIndirect length: 8 u64 fields.
+constexpr size_t MinInstrInfoBytes = 3 + 8 * 8;
+
+void writeRunSection(ByteWriter &W, const RunSection &S) {
+  W.u64(RunTag);
+  W.u8(S.Ok ? 1 : 0);
+  W.u64(S.ExitValue);
+  W.str(S.Error);
+  W.u64(S.Acq.Traps);
+  W.u64(S.Acq.Samples);
+  W.u64(S.Acq.FramesWalked);
+  W.u64(S.Acq.LogBytes);
+
+  W.u64(S.EdgeProfiles.size());
+  for (const prof::EdgeProfile &Profile : S.EdgeProfiles) {
+    W.u64(Profile.FuncId);
+    W.u8(Profile.HasProfile ? 1 : 0);
+    W.u64(Profile.Invocations);
+    W.u64(Profile.EdgeCounts.size());
+    for (uint64_t Count : Profile.EdgeCounts)
+      W.u64(Count);
+  }
+
+  W.u64(S.Instr.size());
+  for (const prof::FunctionInstrInfo &Info : S.Instr) {
+    W.u8(Info.Instrumented ? 1 : 0);
+    W.u8(Info.HasPathProfile ? 1 : 0);
+    W.u64(Info.NumPaths);
+    W.u8(Info.Hashed ? 1 : 0);
+    W.u64(Info.KIters);
+    W.u64(Info.TableAddr);
+    W.u64(Info.Stride);
+    W.u64(Info.EdgeTableAddr);
+    W.u64(Info.ChordEdges.size());
+    for (unsigned Edge : Info.ChordEdges)
+      W.u64(Edge);
+    W.u64(Info.NumSites);
+    W.bytes(Info.SiteIsIndirect);
+  }
+}
+
+// Reads the section after its tag.
+DecodeStatus readRunSection(ByteReader &R, RunSection &S) {
+  uint8_t Ok;
+  if (!R.u8(Ok) || !R.u64(S.ExitValue) || !R.str(S.Error) ||
+      !R.u64(S.Acq.Traps) || !R.u64(S.Acq.Samples) ||
+      !R.u64(S.Acq.FramesWalked) || !R.u64(S.Acq.LogBytes))
+    return DecodeStatus::Truncated;
+  S.Ok = Ok != 0;
+
+  uint64_t NumEdgeProfiles;
+  if (!R.count(NumEdgeProfiles, MinEdgeProfileBytes))
+    return DecodeStatus::Truncated;
+  S.EdgeProfiles.resize(NumEdgeProfiles);
+  for (prof::EdgeProfile &Profile : S.EdgeProfiles) {
+    uint64_t FuncId, NumCounts;
+    uint8_t HasProfile;
+    if (!R.u64(FuncId) || !R.u8(HasProfile) || !R.u64(Profile.Invocations) ||
+        !R.count(NumCounts, 8))
+      return DecodeStatus::Truncated;
+    Profile.FuncId = static_cast<unsigned>(FuncId);
+    Profile.HasProfile = HasProfile != 0;
+    Profile.EdgeCounts.resize(NumCounts);
+    for (uint64_t &Count : Profile.EdgeCounts)
+      if (!R.u64(Count))
+        return DecodeStatus::Truncated;
+  }
+
+  uint64_t NumFunctions;
+  if (!R.count(NumFunctions, MinInstrInfoBytes))
+    return DecodeStatus::Truncated;
+  S.Instr.resize(NumFunctions);
+  for (prof::FunctionInstrInfo &Info : S.Instr) {
+    uint8_t Instrumented, HasPathProfile, Hashed;
+    uint64_t KIters, Stride, NumChords, NumSites;
+    if (!R.u8(Instrumented) || !R.u8(HasPathProfile) ||
+        !R.u64(Info.NumPaths) || !R.u8(Hashed) || !R.u64(KIters) ||
+        !R.u64(Info.TableAddr) || !R.u64(Stride) ||
+        !R.u64(Info.EdgeTableAddr) || !R.count(NumChords, 8))
+      return DecodeStatus::Truncated;
+    if (KIters == 0)
+      return DecodeStatus::Malformed;
+    Info.Instrumented = Instrumented != 0;
+    Info.HasPathProfile = HasPathProfile != 0;
+    Info.Hashed = Hashed != 0;
+    Info.KIters = static_cast<unsigned>(KIters);
+    Info.Stride = static_cast<unsigned>(Stride);
+    Info.ChordEdges.resize(NumChords);
+    for (unsigned &Edge : Info.ChordEdges) {
+      uint64_t Value;
+      if (!R.u64(Value))
+        return DecodeStatus::Truncated;
+      Edge = static_cast<unsigned>(Value);
+    }
+    if (!R.u64(NumSites) || !R.bytes(Info.SiteIsIndirect))
+      return DecodeStatus::Truncated;
+    Info.NumSites = static_cast<unsigned>(NumSites);
+  }
+  return DecodeStatus::Ok;
+}
 
 } // namespace
 
@@ -101,6 +205,8 @@ std::vector<uint8_t> profdb::encodeArtifact(const Artifact &A) {
   W.u8(A.Tree ? 1 : 0);
   if (A.Tree)
     cct::writeTreeImage(W, A.Tree->image());
+  if (A.Run)
+    writeRunSection(W, *A.Run);
 
   // Integrity trailer over everything above.
   uint32_t Crc = crc32(W.Bytes.data(), W.Bytes.size());
@@ -229,11 +335,42 @@ DecodeStatus profdb::decodeArtifact(const std::vector<uint8_t> &Bytes,
     if (!Out.Tree)
       return DecodeStatus::Malformed;
   }
+
+  // Anything after the tree is either the tagged run section or trailing
+  // garbage.
+  Out.Run.reset();
+  ByteReader Tag = R;
+  uint64_t TagValue;
+  if (Tag.u64(TagValue) && TagValue == RunTag) {
+    R = Tag;
+    DecodeStatus Status = readRunSection(R, Out.Run.emplace());
+    if (Status != DecodeStatus::Ok)
+      return Status;
+  }
   return R.atEnd() ? DecodeStatus::Ok : DecodeStatus::TrailingBytes;
+}
+
+std::vector<std::string> profdb::functionNames(const ir::Module &M) {
+  std::vector<std::string> Names;
+  Names.reserve(M.numFunctions());
+  for (size_t Id = 0; Id != M.numFunctions(); ++Id)
+    Names.push_back(M.function(Id)->name());
+  return Names;
 }
 
 Artifact profdb::artifactFromOutcome(const prof::RunOutcome &Outcome,
                                      const ir::Module &M,
+                                     const std::string &Fingerprint,
+                                     const std::string &Workload,
+                                     uint64_t Scale,
+                                     const prof::ProfileConfig &Config,
+                                     const std::string &Acquisition) {
+  return artifactFromOutcome(Outcome, functionNames(M), Fingerprint,
+                             Workload, Scale, Config, Acquisition);
+}
+
+Artifact profdb::artifactFromOutcome(const prof::RunOutcome &Outcome,
+                                     std::vector<std::string> Functions,
                                      const std::string &Fingerprint,
                                      const std::string &Workload,
                                      uint64_t Scale,
@@ -252,9 +389,7 @@ Artifact profdb::artifactFromOutcome(const prof::RunOutcome &Outcome,
   A.Schema.K = Config.K;
   A.ExecutedInsts = Outcome.Result.ExecutedInsts;
   A.Totals = Outcome.Totals;
-  A.Functions.reserve(M.numFunctions());
-  for (size_t Id = 0; Id != M.numFunctions(); ++Id)
-    A.Functions.push_back(M.function(Id)->name());
+  A.Functions = std::move(Functions);
   A.PathProfiles = Outcome.PathProfiles;
   if (Outcome.Tree)
     A.Tree = cct::CallingContextTree::fromImage(Outcome.Tree->image());
@@ -275,5 +410,6 @@ Artifact profdb::cloneArtifact(const Artifact &A) {
   Copy.PathProfiles = A.PathProfiles;
   if (A.Tree)
     Copy.Tree = cct::CallingContextTree::fromImage(A.Tree->image());
+  Copy.Run = A.Run;
   return Copy;
 }

@@ -11,11 +11,18 @@
 /// data meant to outlive the process, travel between machines, and be
 /// merged, diffed, and queried by tools/pp-report.
 ///
+/// An artifact may also carry a run section: the rest of a RunOutcome
+/// (the run's result, edge profiles, instrumentation metadata and
+/// acquisition stats). The driver's disk cache stores each run as an
+/// artifact with that section, so one codec serves both the cache and
+/// the repository. The section follows the CCT, opened by a tag, and is
+/// written only when present: an artifact without it keeps its bytes.
+/// Merge, fold and diff drop it; only a single run has one.
+///
 /// Trust model: artifacts are untrusted input. The decoder is fully
-/// bounds-checked in the OutcomeIO v2 style (remaining()-based length
-/// checks, count caps before any allocation, CCT geometry ceilings) and
-/// returns a typed DecodeStatus instead of crashing or silently loading
-/// a corrupt file.
+/// bounds-checked (remaining()-based length checks, count caps before
+/// any allocation, CCT geometry ceilings) and returns a typed
+/// DecodeStatus instead of crashing or silently loading a corrupt file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +34,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,6 +72,22 @@ struct MetricSchema {
   }
 };
 
+/// What a single run produced beyond its profile; with it, an artifact
+/// holds a whole prof::RunOutcome except the instrumented module.
+struct RunSection {
+  /// vm::RunResult's fields, except ExecutedInsts, which every artifact
+  /// carries.
+  bool Ok = true;
+  uint64_t ExitValue = 0;
+  std::string Error;
+  /// Edge-mode profiles, indexed by function id.
+  std::vector<prof::EdgeProfile> EdgeProfiles;
+  /// Instrumentation metadata, indexed by function id. Only the plain
+  /// fields persist: F and KPaths decode as null.
+  std::vector<prof::FunctionInstrInfo> Instr;
+  prof::AcquisitionStats Acq;
+};
+
 /// One stored profile: a single run's, or the merge of many.
 struct Artifact {
   /// The RunKey fingerprint of the run, or a symmetric "merged;..."
@@ -94,6 +118,9 @@ struct Artifact {
   /// The CCT (context modes); null otherwise.
   std::unique_ptr<cct::CallingContextTree> Tree;
 
+  /// The run section (run cache entries only).
+  std::optional<RunSection> Run;
+
   Artifact() = default;
   Artifact(Artifact &&) = default;
   Artifact &operator=(Artifact &&) = default;
@@ -117,6 +144,8 @@ enum class DecodeStatus : unsigned {
   /// Valid payload followed by unexplained extra bytes.
   TrailingBytes,
 };
+constexpr unsigned NumDecodeStatuses =
+    static_cast<unsigned>(DecodeStatus::TrailingBytes) + 1;
 
 /// Human-readable name for diagnostics.
 const char *decodeStatusName(DecodeStatus Status);
@@ -132,9 +161,19 @@ std::vector<uint8_t> encodeArtifact(const Artifact &A);
 /// discarded.
 DecodeStatus decodeArtifact(const std::vector<uint8_t> &Bytes, Artifact &Out);
 
-/// Packages a successful run's outcome as a fresh artifact. \p M is the
-/// module the run executed (source of the function names); \p Fingerprint
-/// is the run's RunKey fingerprint.
+/// The names of \p M's functions, indexed by function id.
+std::vector<std::string> functionNames(const ir::Module &M);
+
+/// Packages a successful run's outcome as a fresh artifact, without a run
+/// section. \p Functions names the run's functions by id;
+/// \p Fingerprint is the run's RunKey fingerprint.
+Artifact artifactFromOutcome(const prof::RunOutcome &Outcome,
+                             std::vector<std::string> Functions,
+                             const std::string &Fingerprint,
+                             const std::string &Workload, uint64_t Scale,
+                             const prof::ProfileConfig &Config,
+                             const std::string &Acquisition = "exact");
+/// The same, naming the functions after \p M, the module the run executed.
 Artifact artifactFromOutcome(const prof::RunOutcome &Outcome,
                              const ir::Module &M,
                              const std::string &Fingerprint,

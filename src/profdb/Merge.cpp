@@ -600,5 +600,6 @@ bool profdb::mergeAll(std::vector<Artifact> Shards, Artifact &Out,
     Shards = std::move(Next);
   }
   Out = std::move(Shards.front());
+  Out.Run.reset(); // a lone shard passes through; merges never keep one
   return true;
 }

@@ -111,6 +111,7 @@ bool mergeArtifacts(const Artifact &A, const Artifact &B, Artifact &Out,
 /// tree depends only on shard positions, so for a fixed input order the
 /// bytes are identical under any thread count — and because each pair
 /// merge is itself order-canonical, shuffled input orders agree too.
+/// The result carries no run section, even for a single shard.
 bool mergeAll(std::vector<Artifact> Shards, Artifact &Out, std::string &Error,
               unsigned Threads = 1);
 

@@ -2,8 +2,9 @@
 ///
 /// \file
 /// The little-endian byte writer and the bounds-checked reader shared by
-/// every persisted binary format in the repository (the driver's on-disk
-/// run cache, the profdb profile artifacts). The reader treats its input
+/// every persisted binary format in the repository (profdb profile
+/// artifacts, which are also the run cache's entries, and collectd wire
+/// frames). The reader treats its input
 /// as untrusted: every length and count is validated against the bytes
 /// actually *remaining* — never with `Cursor + Size > total` arithmetic,
 /// which wraps for Size near UINT64_MAX and lets a corrupt file read out

@@ -9,12 +9,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
-#include "driver/OutcomeIO.h"
+#include "profdb/Store.h"
+#include "workloads/Spec.h"
 
 #include "gtest/gtest.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -116,6 +118,32 @@ std::string makeTempDir() {
   const char *Dir = mkdtemp(Template);
   EXPECT_NE(Dir, nullptr);
   return Dir ? Dir : "";
+}
+
+void removeDir(const std::string &Dir) {
+  std::string Cmd = "rm -rf " + Dir;
+  (void)std::system(Cmd.c_str());
+}
+
+std::vector<uint8_t> readFile(const std::string &Path) {
+  std::ifstream File(Path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(File), {});
+}
+
+/// Where a cache in \p Dir keeps \p Plan's entry.
+std::string entryPath(const std::string &Dir, const RunPlan &Plan) {
+  return Dir + "/" + profdb::artifactFileName(RunKey::of(Plan).Fingerprint);
+}
+
+/// The disk entry a cache writes for \p Plan.
+std::vector<uint8_t> cacheEntryBytes(const RunPlan &Plan) {
+  std::string Dir = makeTempDir();
+  Driver Writer(Dir, /*Threads=*/1);
+  OutcomePtr Stored = Writer.run(Plan);
+  EXPECT_TRUE(Stored && Stored->Result.Ok);
+  std::vector<uint8_t> Bytes = readFile(entryPath(Dir, Plan));
+  removeDir(Dir);
+  return Bytes;
 }
 
 TEST(RunKeyTest, FingerprintSeparatesPlans) {
@@ -311,60 +339,87 @@ TEST(DriverTest, NestedCacheDirIsCreatedWhole) {
   (void)std::system(Cmd.c_str());
 }
 
-TEST(OutcomeIOTest, RejectsMismatchedFingerprint) {
-  Driver D(/*DiskDir=*/"", /*Threads=*/1);
-  OutcomePtr Run = D.run(makePlan("130.li", prof::Mode::Flow));
-  ASSERT_TRUE(Run && Run->Result.Ok);
+TEST(RunRecordTest, RejectsMismatchedFingerprint) {
+  std::string Dir = makeTempDir();
+  ASSERT_FALSE(Dir.empty());
+  RunPlan Flow = makePlan("130.li", prof::Mode::Flow);
+  RunPlan Other = makePlan("130.li", prof::Mode::Flow, /*Scale=*/2);
+  OutcomePtr Stored;
+  {
+    Driver Writer(Dir, /*Threads=*/1);
+    Stored = Writer.run(Flow);
+    ASSERT_TRUE(Stored && Stored->Result.Ok);
+  }
+  // A well-formed entry under another run's file name, as a hash
+  // collision would leave it, must not be served for that run.
+  {
+    std::vector<uint8_t> Bytes = readFile(entryPath(Dir, Flow));
+    std::ofstream Out(entryPath(Dir, Other), std::ios::binary);
+    Out.write(reinterpret_cast<const char *>(Bytes.data()),
+              static_cast<std::streamsize>(Bytes.size()));
+  }
 
-  std::vector<uint8_t> Bytes = serializeOutcome(*Run, "fingerprint-a");
-  prof::RunOutcome Out;
-  EXPECT_FALSE(deserializeOutcome(Bytes, "fingerprint-b", Out));
-  EXPECT_TRUE(deserializeOutcome(Bytes, "fingerprint-a", Out));
-  expectOutcomesEqual(*Run, Out);
+  Driver Reader(Dir, /*Threads=*/1);
+  OutcomePtr Rerun = Reader.run(Other);
+  ASSERT_TRUE(Rerun && Rerun->Result.Ok);
+  EXPECT_EQ(Reader.scheduler().runsExecuted(), 1u);
+  RunCache::Stats Stats = Reader.cache().stats();
+  EXPECT_EQ(Stats.DecodeFailures, 1u);
+  EXPECT_EQ(Stats.FingerprintMismatches, 1u);
+  // Under its own fingerprint the entry decodes to the stored outcome.
+  OutcomePtr Restored = Reader.run(Flow);
+  ASSERT_TRUE(Restored);
+  EXPECT_EQ(Reader.cache().stats().DiskHits, 1u);
+  expectOutcomesEqual(*Stored, *Restored);
+  removeDir(Dir);
 }
 
-TEST(OutcomeIOTest, KItersSurviveTheCacheTrip) {
+TEST(RunRecordTest, KItersSurviveTheCacheTrip) {
   // A k = 2 outcome restored from the run cache must still know its
   // windows span two iterations — per function (the ladder level) and in
   // the instrumentation info — or the renderers would decode window ids
   // against the wrong numbering.
-  Driver D(/*DiskDir=*/"", /*Threads=*/1);
+  std::string Dir = makeTempDir();
+  ASSERT_FALSE(Dir.empty());
   RunPlan Plan = makePlan("130.li", prof::Mode::Flow);
   Plan.Options.Config.K = 2;
-  OutcomePtr Run = D.run(Plan);
-  ASSERT_TRUE(Run && Run->Result.Ok);
-
-  std::vector<uint8_t> Bytes = serializeOutcome(*Run, "fp-k2");
-  prof::RunOutcome Out;
-  ASSERT_TRUE(deserializeOutcome(Bytes, "fp-k2", Out));
-  expectOutcomesEqual(*Run, Out);
+  OutcomePtr Run;
+  {
+    Driver Writer(Dir, /*Threads=*/1);
+    Run = Writer.run(Plan);
+    ASSERT_TRUE(Run && Run->Result.Ok);
+  }
+  Driver Reader(Dir, /*Threads=*/1);
+  OutcomePtr Out = Reader.run(Plan);
+  ASSERT_TRUE(Out);
+  EXPECT_EQ(Reader.cache().stats().DiskHits, 1u);
+  expectOutcomesEqual(*Run, *Out);
 
   bool SawMultiIteration = false;
-  ASSERT_EQ(Out.PathProfiles.size(), Run->PathProfiles.size());
-  for (size_t I = 0; I != Out.PathProfiles.size(); ++I)
-    EXPECT_EQ(Out.PathProfiles[I].KIters, Run->PathProfiles[I].KIters);
-  ASSERT_EQ(Out.Instr.Functions.size(), Run->Instr.Functions.size());
-  for (size_t I = 0; I != Out.Instr.Functions.size(); ++I) {
-    EXPECT_EQ(Out.Instr.Functions[I].KIters, Run->Instr.Functions[I].KIters);
-    SawMultiIteration |= Out.Instr.Functions[I].KIters > 1;
+  ASSERT_EQ(Out->PathProfiles.size(), Run->PathProfiles.size());
+  for (size_t I = 0; I != Out->PathProfiles.size(); ++I)
+    EXPECT_EQ(Out->PathProfiles[I].KIters, Run->PathProfiles[I].KIters);
+  ASSERT_EQ(Out->Instr.Functions.size(), Run->Instr.Functions.size());
+  for (size_t I = 0; I != Out->Instr.Functions.size(); ++I) {
+    EXPECT_EQ(Out->Instr.Functions[I].KIters, Run->Instr.Functions[I].KIters);
+    SawMultiIteration |= Out->Instr.Functions[I].KIters > 1;
   }
   EXPECT_TRUE(SawMultiIteration);
+  removeDir(Dir);
 }
 
-TEST(OutcomeIOTest, RejectsMismatchedVersion) {
-  Driver D(/*DiskDir=*/"", /*Threads=*/1);
-  OutcomePtr Run = D.run(makePlan("130.li", prof::Mode::Flow));
-  ASSERT_TRUE(Run && Run->Result.Ok);
-
+TEST(RunRecordTest, RejectsMismatchedVersion) {
   // A future format bump leaves old files behind; they must be rejected
   // as BadVersion (and re-executed), not misparsed. The version gate
   // fires before the checksum, so even a checksum-consistent file of
   // another version is refused.
-  std::vector<uint8_t> Bytes = serializeOutcome(*Run, "fp");
+  std::vector<uint8_t> Bytes =
+      cacheEntryBytes(makePlan("130.li", prof::Mode::Flow));
+  ASSERT_GT(Bytes.size(), 16u);
   Bytes[8] += 1; // version field, little-endian low byte
-  prof::RunOutcome Out;
-  EXPECT_EQ(decodeOutcome(Bytes, "fp", Out), DecodeStatus::BadVersion);
-  EXPECT_FALSE(deserializeOutcome(Bytes, "fp", Out));
+  profdb::Artifact Out;
+  EXPECT_EQ(profdb::decodeArtifact(Bytes, Out),
+            profdb::DecodeStatus::BadVersion);
 }
 
 TEST(DriverTest, StaleVersionFileOnDiskIsReplacedByReexecution) {
@@ -376,22 +431,14 @@ TEST(DriverTest, StaleVersionFileOnDiskIsReplacedByReexecution) {
     ASSERT_TRUE(Run && Run->Result.Ok);
   }
 
-  // Regress the version field of the file on disk, as if a format bump
-  // left an old cache directory behind.
-  std::string FindCmd = "ls " + Dir + "/*.ppo";
-  FILE *Pipe = popen(FindCmd.c_str(), "r");
-  ASSERT_NE(Pipe, nullptr);
-  char PathBuf[256] = {};
-  ASSERT_NE(std::fgets(PathBuf, sizeof(PathBuf), Pipe), nullptr);
-  pclose(Pipe);
-  std::string Path(PathBuf);
-  while (!Path.empty() && Path.back() == '\n')
-    Path.pop_back();
+  // Move the version field of the file on disk to one this build does
+  // not read, as if a format bump left another cache directory behind.
+  std::string Path = entryPath(Dir, makePlan("130.li", prof::Mode::Flow));
   {
     std::FILE *File = std::fopen(Path.c_str(), "r+b");
     ASSERT_NE(File, nullptr);
     std::fseek(File, 8, SEEK_SET);
-    std::fputc(1, File); // version 1
+    std::fputc(0, File); // version 0
     std::fclose(File);
   }
 
@@ -403,7 +450,7 @@ TEST(DriverTest, StaleVersionFileOnDiskIsReplacedByReexecution) {
   EXPECT_EQ(Stats.DiskHits, 0u);
   EXPECT_EQ(Stats.DecodeFailures, 1u);
   EXPECT_EQ(Stats.DecodeFailuresBy[static_cast<unsigned>(
-                DecodeStatus::BadVersion)],
+                profdb::DecodeStatus::BadVersion)],
             1u);
 
   std::string Cmd = "rm -rf " + Dir;
@@ -454,19 +501,51 @@ TEST(SchedulerTest, NonNumericThreadsEnvKeepsParallelDefault) {
   unsetenv("PP_DRIVER_THREADS");
 }
 
-TEST(OutcomeIOTest, RejectsTruncatedBytes) {
-  Driver D(/*DiskDir=*/"", /*Threads=*/1);
-  OutcomePtr Run = D.run(makePlan("130.li", prof::Mode::ContextFlow));
-  ASSERT_TRUE(Run && Run->Result.Ok);
-
-  std::vector<uint8_t> Bytes = serializeOutcome(*Run, "fp");
+TEST(RunRecordTest, RejectsTruncatedBytes) {
+  std::vector<uint8_t> Bytes =
+      cacheEntryBytes(makePlan("130.li", prof::Mode::ContextFlow));
+  ASSERT_GT(Bytes.size(), 16u);
   for (size_t Cut : {size_t(0), size_t(7), Bytes.size() / 2,
                      Bytes.size() - 1}) {
     std::vector<uint8_t> Truncated(Bytes.begin(), Bytes.begin() + Cut);
-    prof::RunOutcome Out;
-    EXPECT_FALSE(deserializeOutcome(Truncated, "fp", Out))
+    profdb::Artifact Out;
+    EXPECT_NE(profdb::decodeArtifact(Truncated, Out),
+              profdb::DecodeStatus::Ok)
         << "accepted " << Cut << " bytes";
   }
+}
+
+TEST(RunRecordTest, DepositBytesMatchOnEveryPath) {
+  // A deposit is encoded from the cached record: the fresh run, a memory
+  // hit and a disk hit write the same bytes, and those are the bytes of
+  // the artifact packaged from a rebuilt module.
+  std::string Dir = makeTempDir();
+  ASSERT_FALSE(Dir.empty());
+  RunPlan Plan = makePlan("130.li", prof::Mode::ContextFlowHw);
+  std::string Name = profdb::artifactFileName(RunKey::of(Plan).Fingerprint);
+  // Each scheduler runs the plan once, depositing into \p Sub.
+  auto RunInto = [&](RunCache &Cache, const char *Sub) {
+    RunScheduler Scheduler(&Cache, /*Threads=*/0);
+    Scheduler.setProfileOutDir(Dir + "/" + Sub);
+    return Scheduler.get(Scheduler.submit(Plan));
+  };
+  RunCache Writer(Dir + "/cache");
+  OutcomePtr Run = RunInto(Writer, "fresh");
+  ASSERT_TRUE(Run && Run->Result.Ok);
+  RunInto(Writer, "memory");
+  EXPECT_EQ(Writer.stats().MemoryHits, 1u);
+  RunCache Reader(Dir + "/cache");
+  RunInto(Reader, "disk");
+  EXPECT_EQ(Reader.stats().DiskHits, 1u);
+
+  auto Module = workloads::buildWorkload("130.li", 1);
+  ASSERT_NE(Module, nullptr);
+  std::vector<uint8_t> Want = profdb::encodeArtifact(
+      profdb::artifactFromOutcome(*Run, *Module, RunKey::of(Plan).Fingerprint,
+                                  "130.li", 1, Plan.Options.Config));
+  for (const char *Sub : {"fresh", "memory", "disk"})
+    EXPECT_EQ(readFile(Dir + "/" + Sub + "/" + Name), Want) << Sub;
+  removeDir(Dir);
 }
 
 TEST(TreeImageTest, ImageRoundTripPreservesTheTree) {

@@ -12,7 +12,6 @@
 
 #include "driver/Driver.h"
 #include "driver/FaultInjector.h"
-#include "driver/OutcomeIO.h"
 #include "profdb/Artifact.h"
 #include "profdb/Store.h"
 #include "support/Checksum.h"
@@ -52,9 +51,9 @@ void removeDir(const std::string &Dir) {
   (void)std::system(Cmd.c_str());
 }
 
-/// Number of .ppo files in \p Dir (the on-disk cache population).
+/// Number of .ppa files in \p Dir (the on-disk cache population).
 size_t countCacheFiles(const std::string &Dir) {
-  std::string Cmd = "ls " + Dir + "/*.ppo 2>/dev/null | wc -l";
+  std::string Cmd = "ls " + Dir + "/*.ppa 2>/dev/null | wc -l";
   FILE *Pipe = popen(Cmd.c_str(), "r");
   if (!Pipe)
     return 0;
@@ -71,6 +70,23 @@ struct InjectorGuard {
   ~InjectorGuard() { FaultInjector::instance().configure({}); }
 };
 
+/// The disk entry a run cache writes for \p Plan: its artifact with a
+/// run section.
+std::vector<uint8_t> cacheEntryBytes(const RunPlan &Plan) {
+  std::string Dir = makeTempDir();
+  {
+    Driver Writer(Dir, /*Threads=*/1);
+    OutcomePtr Run = Writer.run(Plan);
+    EXPECT_TRUE(Run && Run->Result.Ok);
+  }
+  std::ifstream File(
+      Dir + "/" + profdb::artifactFileName(RunKey::of(Plan).Fingerprint),
+      std::ios::binary);
+  std::vector<uint8_t> Bytes(std::istreambuf_iterator<char>(File), {});
+  removeDir(Dir);
+  return Bytes;
+}
+
 /// The consumer-visible core of an outcome: a degraded-then-recovered run
 /// must reproduce exactly what the clean run produced.
 void expectSameMeasurement(const prof::RunOutcome &A,
@@ -86,15 +102,13 @@ void expectSameMeasurement(const prof::RunOutcome &A,
 //===----------------------------------------------------------------------===//
 
 TEST(FaultSweepTest, NoCorruptionCrashesOrIsAccepted) {
-  Driver D(/*DiskDir=*/"", /*Threads=*/1);
-  OutcomePtr Run = D.run(makePlan("130.li", prof::Mode::ContextFlow));
-  ASSERT_TRUE(Run && Run->Result.Ok);
-
-  const std::vector<uint8_t> Bytes = serializeOutcome(*Run, "fp");
+  const std::vector<uint8_t> Bytes =
+      cacheEntryBytes(makePlan("130.li", prof::Mode::ContextFlow));
   ASSERT_GT(Bytes.size(), 16u);
   {
-    prof::RunOutcome Out;
-    ASSERT_EQ(decodeOutcome(Bytes, "fp", Out), DecodeStatus::Ok);
+    profdb::Artifact Out;
+    ASSERT_EQ(profdb::decodeArtifact(Bytes, Out), profdb::DecodeStatus::Ok);
+    ASSERT_TRUE(Out.Run.has_value());
   }
 
   unsigned Corruptions = 0;
@@ -107,9 +121,9 @@ TEST(FaultSweepTest, NoCorruptionCrashesOrIsAccepted) {
     std::vector<uint8_t> Flipped = Bytes;
     size_t Offset = size_t(I) * Flipped.size() / NumFlips;
     Flipped[Offset] ^= uint8_t(1) << (I % 8);
-    prof::RunOutcome Out;
-    DecodeStatus Status = decodeOutcome(Flipped, "fp", Out);
-    EXPECT_NE(Status, DecodeStatus::Ok)
+    profdb::Artifact Out;
+    profdb::DecodeStatus Status = profdb::decodeArtifact(Flipped, Out);
+    EXPECT_NE(Status, profdb::DecodeStatus::Ok)
         << "accepted a bit flip at offset " << Offset;
     ++Corruptions;
   }
@@ -120,9 +134,10 @@ TEST(FaultSweepTest, NoCorruptionCrashesOrIsAccepted) {
   for (unsigned I = 0; I != NumCuts; ++I) {
     size_t Cut = size_t(I) * Bytes.size() / NumCuts;
     std::vector<uint8_t> Truncated(Bytes.begin(), Bytes.begin() + Cut);
-    prof::RunOutcome Out;
-    DecodeStatus Status = decodeOutcome(Truncated, "fp", Out);
-    EXPECT_NE(Status, DecodeStatus::Ok) << "accepted " << Cut << " bytes";
+    profdb::Artifact Out;
+    profdb::DecodeStatus Status = profdb::decodeArtifact(Truncated, Out);
+    EXPECT_NE(Status, profdb::DecodeStatus::Ok)
+        << "accepted " << Cut << " bytes";
     ++Corruptions;
   }
 
@@ -144,9 +159,9 @@ TEST(FaultSweepTest, NoCorruptionCrashesOrIsAccepted) {
     uint32_t Crc = crc32(Stomped.data(), Stomped.size() - 4);
     for (unsigned B = 0; B != 4; ++B)
       Stomped[Stomped.size() - 4 + B] = uint8_t(Crc >> (8 * B));
-    prof::RunOutcome Out;
-    DecodeStatus Status = decodeOutcome(Stomped, "fp", Out);
-    EXPECT_NE(Status, DecodeStatus::BadChecksum)
+    profdb::Artifact Out;
+    profdb::DecodeStatus Status = profdb::decodeArtifact(Stomped, Out);
+    EXPECT_NE(Status, profdb::DecodeStatus::BadChecksum)
         << "trailer fixup failed at offset " << Offset;
     ++Corruptions;
   }
@@ -311,17 +326,17 @@ TEST(FaultSweepTest, StaleWriterTempsAreSweptOnListing) {
 }
 
 TEST(FaultSweepTest, StaleVersionReportsBadVersion) {
-  Driver D(/*DiskDir=*/"", /*Threads=*/1);
-  OutcomePtr Run = D.run(makePlan("130.li", prof::Mode::Flow));
-  ASSERT_TRUE(Run && Run->Result.Ok);
-
-  std::vector<uint8_t> Bytes = serializeOutcome(*Run, "fp");
-  // A Version-1 file is a v2 file with version 1 and no trailer; the
-  // version gate must fire before the checksum is even consulted.
-  Bytes[8] = 1;
+  std::vector<uint8_t> Bytes =
+      cacheEntryBytes(makePlan("130.li", prof::Mode::Flow));
+  ASSERT_GT(Bytes.size(), 16u);
+  // A version this build never wrote, without the trailer its writer
+  // might not have had: the version gate must fire before the checksum
+  // is even consulted.
+  Bytes[8] = 0;
   Bytes.resize(Bytes.size() - 4);
-  prof::RunOutcome Out;
-  EXPECT_EQ(decodeOutcome(Bytes, "fp", Out), DecodeStatus::BadVersion);
+  profdb::Artifact Out;
+  EXPECT_EQ(profdb::decodeArtifact(Bytes, Out),
+            profdb::DecodeStatus::BadVersion);
 }
 
 //===----------------------------------------------------------------------===//
@@ -341,7 +356,7 @@ TEST(FaultDiskTest, CorruptFileOnDiskFallsBackToReexecution) {
   ASSERT_EQ(countCacheFiles(Dir), 1u);
 
   // Flip one byte in the middle of the file on disk.
-  std::string Cmd = "ls " + Dir + "/*.ppo";
+  std::string Cmd = "ls " + Dir + "/*.ppa";
   FILE *Pipe = popen(Cmd.c_str(), "r");
   ASSERT_NE(Pipe, nullptr);
   char PathBuf[256] = {};

@@ -493,9 +493,10 @@ TEST_P(RandomCfgKPathTest, WindowsDecodeAndResum) {
         EXPECT_TRUE(Segments[Index].EndsWithBackedge);
         EXPECT_TRUE(Segments[Index + 1].StartsAfterBackedge ||
                     G.edge(Segments[Index].ExitBackedge).To == G.entryNode());
-        if (Segments[Index + 1].StartsAfterBackedge)
+        if (Segments[Index + 1].StartsAfterBackedge) {
           EXPECT_EQ(Segments[Index + 1].EntryBackedge,
                     Segments[Index].ExitBackedge);
+        }
       }
 
       // The decomposition re-sums to the window id, and no two windows

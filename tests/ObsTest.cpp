@@ -170,7 +170,7 @@ TEST(Obs, ReportParsesAndVirtualTimeIsContiguous) {
   EXPECT_EQ(obs::diffObsReports(R, R), "no differences\n");
   std::string Rendered = obs::renderObsReport(R);
   EXPECT_NE(Rendered.find("scheduler.submitted"), std::string::npos);
-  EXPECT_NE(Rendered.find("driver/execute"), std::string::npos);
+  EXPECT_NE(Rendered.find("prof/execute"), std::string::npos);
 }
 
 TEST(Obs, ReportReaderDecodesUnicodeEscapes) {

@@ -337,8 +337,9 @@ TEST(ProfDbCrossKTest, KSurvivesTheEncodeDecodeTrip) {
   ASSERT_EQ(profdb::decodeArtifact(Bytes, Back), profdb::DecodeStatus::Ok);
   EXPECT_EQ(Back.Schema.K, 3u);
   for (const prof::FunctionPathProfile &Profile : Back.PathProfiles)
-    if (Profile.HasProfile)
+    if (Profile.HasProfile) {
       EXPECT_EQ(Profile.KIters, 2u);
+    }
   EXPECT_EQ(profdb::encodeArtifact(Back), Bytes);
 }
 
